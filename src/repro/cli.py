@@ -468,141 +468,105 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.common.errors import ConfigError
-    from repro.recovery import DEFAULT_SEEDS, run_chaos
+def _write_report(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"report written to {path}")
 
-    seeds = args.seeds if args.seeds else list(DEFAULT_SEEDS)
+
+def _chaos_seeds(seeds, run, columns, summary: str, payload: dict,
+                 **fmt) -> int:
+    """Run one chaos harness per seed and print its verdict table.
+
+    ``columns`` are the harness's ``(header, report field or getter)``
+    pairs after the common seed and verdict columns; ``summary`` is the
+    tail of the ``n/m seeds ...`` line, formatted with ``fmt``.  Fills
+    ``payload`` (the ``--report`` JSON) and returns the exit code: 2 on
+    a :class:`~repro.common.errors.ConfigError`, 1 if any seed failed.
+    """
+    import dataclasses
+
+    from repro.common.errors import ConfigError
+
     rows = []
     failed = 0
     for seed in seeds:
         try:
-            report = run_chaos(seed, num_clients=args.clients,
-                               periods=args.periods)
+            report = run(seed)
         except ConfigError as err:
             print(err, file=sys.stderr)
             return 2
-        worst = (max(report.failover_durations)
-                 if report.failover_durations else 0.0)
-        rows.append([
-            str(seed),
-            "PASS" if report.ok else "FAIL",
-            str(report.failovers),
-            f"{worst * 1e3:.2f}",
-            str(report.puts_acked),
-            str(report.put_retries),
-            str(report.duplicate_suppressed),
+        rows.append([str(seed), "PASS" if report.ok else "FAIL"] + [
+            getter(report) if callable(getter)
+            else str(getattr(report, getter))
+            for _, getter in columns
         ])
+        payload["seeds"][str(seed)] = dataclasses.asdict(report)
         if not report.ok:
             failed += 1
             for violation in report.violations:
                 print(f"seed {seed}: {violation}", file=sys.stderr)
     for line in format_table(
-        ["seed", "verdict", "failovers", "worst failover (ms)",
-         "puts acked", "put retries", "replays suppressed"],
-        rows,
+        ["seed", "verdict"] + [header for header, _ in columns], rows,
     ):
         print(line)
-    print(f"{len(seeds) - failed}/{len(seeds)} seeds passed "
-          f"({args.clients} clients, {args.periods} periods)")
+    print(f"{len(seeds) - failed}/{len(seeds)} {summary.format(**fmt)}")
+    payload["failed"] = failed
     return 1 if failed else 0
 
 
-def _cmd_globalqos(args) -> int:
-    import dataclasses
-    import json
+def _cmd_chaos(args) -> int:
+    from repro.recovery import DEFAULT_SEEDS, run_chaos
 
-    from repro.common.errors import ConfigError
-    from repro.globalqos import (
-        DEFAULT_SEEDS,
-        run_coord_chaos,
-        run_partition_chaos,
-        run_skewed_comparison,
+    return _chaos_seeds(
+        args.seeds or DEFAULT_SEEDS,
+        lambda seed: run_chaos(seed, num_clients=args.clients,
+                               periods=args.periods),
+        (
+            ("failovers", "failovers"),
+            ("worst failover (ms)", lambda r: "{:.2f}".format(
+                max(r.failover_durations, default=0.0) * 1e3)),
+            ("puts acked", "puts_acked"),
+            ("put retries", "put_retries"),
+            ("replays suppressed", "duplicate_suppressed"),
+        ),
+        "seeds passed ({clients} clients, {periods} periods)",
+        {"seeds": {}}, clients=args.clients, periods=args.periods,
     )
+
+
+def _cmd_globalqos(args) -> int:
+    from repro.globalqos import DEFAULT_SEEDS, run_skewed_comparison
+    from repro.globalqos.chaos import SKEW_CHAOS, _run_skew_chaos
 
     if args.chaos and args.partition_chaos:
         print("--chaos and --partition-chaos are mutually exclusive",
               file=sys.stderr)
         return 2
     seeds = args.seeds if args.seeds else list(DEFAULT_SEEDS)
-    mode = ("partition-chaos" if args.partition_chaos
-            else "chaos" if args.chaos else "comparison")
-    payload: dict = {"mode": mode, "seeds": {}}
-    failed = 0
-    rows = []
-    if args.partition_chaos:
-        periods = args.periods if args.periods is not None else 36
-        for seed in seeds:
-            try:
-                report = run_partition_chaos(
-                    seed, periods=periods,
-                    rebalance_periods=args.rebalance_periods,
-                    fallback_after=args.fallback_after,
-                    takeover_after=args.takeover_after,
-                )
-            except ConfigError as err:
-                print(err, file=sys.stderr)
-                return 2
-            rows.append([
-                str(seed),
-                "PASS" if report.ok else "FAIL",
-                str(report.takeover_epoch),
-                str(report.fenced_updates),
-                str(report.stale_rejected),
-                f"{report.quarantines}/{report.unquarantines}",
-                str(report.fallbacks),
-                str(report.puts_acked),
-            ])
-            payload["seeds"][str(seed)] = dataclasses.asdict(report)
-            if not report.ok:
-                failed += 1
-                for violation in report.violations:
-                    print(f"seed {seed}: {violation}", file=sys.stderr)
-        for line in format_table(
-            ["seed", "verdict", "takeover epoch", "fenced", "stale",
-             "quar/unquar", "fallbacks", "puts acked"],
-            rows,
-        ):
-            print(line)
-        print(f"{len(seeds) - failed}/{len(seeds)} seeds passed "
-              f"({periods} periods, asymmetric partition + failover + "
-              "fail-slow)")
-    elif args.chaos:
-        periods = args.periods if args.periods is not None else 18
-        for seed in seeds:
-            try:
-                report = run_coord_chaos(
-                    seed, periods=periods,
-                    rebalance_periods=args.rebalance_periods,
-                    fallback_after=args.fallback_after,
-                )
-            except ConfigError as err:
-                print(err, file=sys.stderr)
-                return 2
-            rows.append([
-                str(seed),
-                "PASS" if report.ok else "FAIL",
-                str(report.fallbacks),
-                str(report.rebalances),
-                str(report.tokens_shifted),
-                str(report.epochs_skipped),
-                str(report.puts_acked),
-                str(report.rebinds),
-            ])
-            payload["seeds"][str(seed)] = dataclasses.asdict(report)
-            if not report.ok:
-                failed += 1
-                for violation in report.violations:
-                    print(f"seed {seed}: {violation}", file=sys.stderr)
-        for line in format_table(
-            ["seed", "verdict", "fallbacks", "rebalances", "tokens shifted",
-             "epochs skipped", "puts acked", "rebinds"],
-            rows,
-        ):
-            print(line)
-        print(f"{len(seeds) - failed}/{len(seeds)} seeds passed "
-              f"({periods} periods, coordinator crash + drop storm)")
+    payload: dict = {"mode": "comparison", "seeds": {}}
+    if args.chaos or args.partition_chaos:
+        harness = SKEW_CHAOS["partition" if args.partition_chaos
+                             else "coord"]
+        periods = args.periods if args.periods is not None else (
+            harness.periods)
+        payload["mode"] = harness.mode
+        code = _chaos_seeds(
+            seeds,
+            lambda seed: _run_skew_chaos(
+                harness, seed, periods=periods,
+                rebalance_periods=args.rebalance_periods,
+                fallback_after=args.fallback_after,
+                takeover_after=args.takeover_after,
+            )[0],
+            harness.columns, harness.summary, payload, periods=periods,
+        )
+        if code == 2:
+            return 2
     else:
+        rows = []
+        failed = 0
         for seed in seeds:
             comparison = run_skewed_comparison(
                 seed,
@@ -638,13 +602,10 @@ def _cmd_globalqos(args) -> int:
             print(line)
         print(f"{len(seeds) - failed}/{len(seeds)} seeds improved the worst "
               "entitled client's attainment with clean conservation audits")
-    payload["failed"] = failed
+        payload["failed"] = failed
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
-    return 1 if failed else 0
+        _write_report(args.report, payload)
+    return 1 if payload["failed"] else 0
 
 
 def _cmd_telemetry(args) -> int:
@@ -1035,8 +996,6 @@ def _cmd_figures(_args) -> int:
 
 
 def _cmd_fabric(args) -> int:
-    import json as _json
-
     from repro.cluster.fabric_scenarios import run_incast
     from repro.common.errors import ConfigError
 
@@ -1077,41 +1036,41 @@ def _cmd_fabric(args) -> int:
 
     digest_report = None
     if args.digests:
-        import pathlib
-
-        from repro.cluster.determinism import FABRIC_SEEDS, fabric_digest
-
-        reference_path = pathlib.Path(
-            "benchmarks/results/determinism_hashes.json"
-        )
-        reference = _json.loads(reference_path.read_text())["fabric"]
-        digest_report = {}
-        for seed in FABRIC_SEEDS:
-            digest = fabric_digest(seed)
-            expected = reference[str(seed)]
-            matched = digest["combined"] == expected["combined"]
-            digest_report[str(seed)] = {
-                "combined": digest["combined"], "matched": matched,
-            }
-            status = "ok" if matched else "MISMATCH"
-            print(f"fabric digest seed {seed}: {status} "
-                  f"({digest['combined'][:16]}...)")
-            ok = ok and matched
+        digest_report = _check_digests("fabric")
+        if digest_report is None:
+            return 2
+        ok = ok and all(d["matched"] for d in digest_report.values())
 
     if args.report:
-        payload = {"seed": args.seed, "ops": args.ops, "ok": ok,
-                   "incast": runs, "digests": digest_report}
-        with open(args.report, "w") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
+        _write_report(args.report, {
+            "seed": args.seed, "ops": args.ops, "ok": ok,
+            "incast": runs, "digests": digest_report,
+        })
     return 0 if ok else 1
 
 
-def _cmd_policy(args) -> int:
-    import dataclasses
-    import json as _json
+def _check_digests(family: str) -> Optional[dict]:
+    """Recompute a digest family, print one verdict line per seed.
 
+    Returns None (after a one-line error) when the committed reference
+    is missing.
+    """
+    from repro.cluster.determinism import compare_to_reference
+    from repro.common.errors import ConfigError
+
+    try:
+        digest_report = compare_to_reference(family)
+    except ConfigError as err:
+        print(err, file=sys.stderr)
+        return None
+    for seed, digest in digest_report.items():
+        status = "ok" if digest["matched"] else "MISMATCH"
+        print(f"{family} digest seed {seed}: {status} "
+              f"({digest['combined'][:16]}...)")
+    return digest_report
+
+
+def _cmd_policy(args) -> int:
     from repro.common.errors import ConfigError
     from repro.policy import (
         SUPPORTED_SCHEMA_VERSIONS,
@@ -1198,72 +1157,30 @@ def _cmd_policy(args) -> int:
         return 2
 
     # apply: the policy-flip failover chaos scenario(s).
-    from repro.policy.chaos import DEFAULT_SEEDS, run_policy_chaos
+    from repro.globalqos.chaos import (
+        DEFAULT_SEEDS,
+        SKEW_CHAOS,
+        _run_skew_chaos,
+    )
 
-    seeds = args.seeds if args.seeds else list(DEFAULT_SEEDS)
-    payload: dict = {"mode": "policy-flip-chaos", "seeds": {}}
-    rows = []
-    failed = 0
-    try:
-        for seed in seeds:
-            report = run_policy_chaos(seed, periods=args.periods)
-            rows.append([
-                str(seed),
-                "PASS" if report.ok else "FAIL",
-                str(report.flip_epoch),
-                str(report.takeover_epoch),
-                str(report.policy_applies),
-                str(report.policy_fenced),
-                str(report.policy_stale_rejected),
-                str(report.puts_acked),
-            ])
-            payload["seeds"][str(seed)] = dataclasses.asdict(report)
-            if not report.ok:
-                failed += 1
-                for violation in report.violations:
-                    print(f"seed {seed}: {violation}", file=sys.stderr)
-    except ConfigError as err:
-        print(err, file=sys.stderr)
+    harness = SKEW_CHAOS["policy"]
+    payload: dict = {"mode": harness.mode, "seeds": {}}
+    code = _chaos_seeds(
+        args.seeds or DEFAULT_SEEDS,
+        lambda seed: _run_skew_chaos(harness, seed, periods=args.periods)[0],
+        harness.columns, harness.summary, payload, periods=args.periods,
+    )
+    if code == 2:
         return 2
-    for line in format_table(
-        ["seed", "verdict", "flip epoch", "takeover epoch", "applies",
-         "fenced", "stale", "puts acked"], rows,
-    ):
-        print(line)
-    print(f"{len(seeds) - failed}/{len(seeds)} seeds hot-swapped the "
-          f"policy mid-failover with clean conservation audits "
-          f"({args.periods} periods)")
-
-    ok = failed == 0
-    digest_report = None
+    ok = code == 0
+    payload["digests"] = None
     if args.digests:
-        import pathlib
-
-        from repro.cluster.determinism import POLICY_SEEDS, policy_digest
-
-        reference_path = pathlib.Path(
-            "benchmarks/results/determinism_hashes.json"
-        )
-        reference = _json.loads(reference_path.read_text())["policy"]
-        digest_report = {}
-        for seed in POLICY_SEEDS:
-            digest = policy_digest(seed)
-            expected = reference[str(seed)]
-            matched = digest["combined"] == expected["combined"]
-            digest_report[str(seed)] = {
-                "combined": digest["combined"], "matched": matched,
-            }
-            status = "ok" if matched else "MISMATCH"
-            print(f"policy digest seed {seed}: {status} "
-                  f"({digest['combined'][:16]}...)")
-            ok = ok and matched
-    payload["failed"] = failed
-    payload["digests"] = digest_report
+        payload["digests"] = _check_digests("policy")
+        if payload["digests"] is None:
+            return 2
+        ok = ok and all(d["matched"] for d in payload["digests"].values())
     if args.report:
-        with open(args.report, "w") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}")
+        _write_report(args.report, payload)
     return 0 if ok else 1
 
 

@@ -16,19 +16,25 @@ seed-specific fault plan (control loss, delay spikes, a brownout), so
 drops, retries, engine backoff, capacity dilation, and conversion all
 feed the hash — not just the steady-state fast path.
 
+Every family — the canonical seeds above, the multi-node coordinator
+and chaos scenarios, fluid scale, the fabric — is one row of
+:data:`FAMILIES`: its seeds, its run, and the parts its digest hashes.
 ``python -m repro.cluster.determinism`` regenerates the committed
-reference file (``benchmarks/results/determinism_hashes.json``); the
-pinned test (``tests/integration/test_determinism.py``) recomputes and
-compares.  Regenerate *only* when a change intentionally alters
+reference file (``benchmarks/results/determinism_hashes.json``) from
+the table; the pinned test (``tests/integration/test_determinism.py``)
+recomputes and compares.  Regenerate *only* when a change intentionally alters
 simulated behaviour, and say so in the commit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from typing import Dict, Optional
+import pathlib
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.common.errors import ConfigError
 from repro.cluster.experiment import run_experiment
 from repro.cluster.scale import SimScale
 from repro.cluster.scenarios import (
@@ -65,6 +71,18 @@ _WARMUP = 1
 _MEASURE = 4
 
 
+#: The committed reference, resolved from the package location so the
+#: digest checks work from any working directory of a source checkout.
+REFERENCE_PATH = (
+    pathlib.Path(__file__).resolve().parents[3]
+    / "benchmarks" / "results" / "determinism_hashes.json"
+)
+
+#: The parts a DES family's digest hashes: the per-period metrics
+#: stream, the token-ledger stream and the result payload.
+STREAM_PARTS = ("kind", "metrics", "ledger", "results", "combined")
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -76,14 +94,33 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _stream_digest(kind: str, hub, payload) -> Dict[str, str]:
+    """Hash a run's metrics stream, ledger stream and result payload.
+
+    ``combined`` is the one number to compare; the three part hashes
+    let a mismatch name the stream that moved.
+    """
+    metrics_hash = _sha256(metrics_jsonl(hub.period_rows))
+    ledger_hash = _sha256(ledger_jsonl(hub.ledger))
+    results_hash = _sha256(_canonical_json(payload))
+    return {
+        "kind": kind,
+        "metrics": metrics_hash,
+        "ledger": ledger_hash,
+        "results": results_hash,
+        "combined": _sha256(_canonical_json(
+            [metrics_hash, ledger_hash, results_hash]
+        )),
+    }
+
+
 def determinism_digest(seed: int,
                        scale: Optional[SimScale] = None) -> Dict[str, str]:
     """Run the canonical scenario for ``seed`` and digest its outputs.
 
-    Returns ``{"kind", "metrics", "ledger", "results", "combined"}``
-    where the last four are SHA-256 hex digests.  ``combined`` is the
-    one number to compare: it covers the metrics stream, the ledger
-    stream, the result payload, and the ledger conservation check.
+    The ``seeds`` family: the digest covers the metrics stream, the
+    ledger stream, the result payload, and the ledger conservation
+    check.
     """
     kind, fault_kwargs = SEED_FAULTS[seed]
     reservations = reservation_set("zipf", _TOTAL_OPS, _NUM_CLIENTS)
@@ -105,208 +142,56 @@ def determinism_digest(seed: int,
     )
     for ctx in cluster.clients:
         ctx.engine.ledger_flush()
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
+    return _stream_digest(kind, hub, {
         "client_period_counts": result.client_period_counts,
         "client_latency": result.client_latency,
         "period_totals": result.period_totals,
         "estimator_history": result.estimator_history,
         "conservation": hub.ledger.check_conservation(),
     })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": kind,
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
 
 
-def digest_all(seeds=CANONICAL_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every canonical seed (JSON-keyable)."""
-    return {str(seed): determinism_digest(seed) for seed in seeds}
+def _globalqos_run(seed: int):
+    """The static-vs-coordinated skew comparison plus coordinator chaos.
 
-
-#: Seeds for the multi-node global-coordinator digest.  Two, not five:
-#: each digest runs the skewed scenario twice (static + coordinated)
-#: plus a coordinator-crash chaos run, so two seeds already cover the
-#: rebalance, fallback, and recovery paths at acceptable suite cost.
-GLOBALQOS_SEEDS = (11, 23)
-
-
-def globalqos_digest(seed: int,
-                     scale: Optional[SimScale] = None) -> Dict[str, str]:
-    """Digest the global-coordinator scenario family for ``seed``.
-
-    Covers the full tentpole surface: the static-vs-coordinated skew
-    comparison (metrics stream, ledger stream with its ``rebalance``
-    events, attainment payload) and a coordinator-crash chaos run
-    (fallback, recovery, conservation verdicts).  Same shape as
-    :func:`determinism_digest` so the pinned test compares both
-    families uniformly.
+    The streams are the coordinated run's (``rebalance`` events in the
+    ledger); the payload adds both attainment summaries and the chaos
+    report (fallback, recovery, conservation verdicts).
     """
-    import dataclasses
-
     from repro.globalqos.chaos import run_coord_chaos
     from repro.globalqos.scenario import run_skewed
 
-    static = run_skewed(seed, False, scale=scale)
-    coordinated = run_skewed(seed, True, scale=scale)
+    static = run_skewed(seed, False)
+    coordinated = run_skewed(seed, True)
     static.pop("_cluster")
-    coord_cluster = coordinated.pop("_cluster")
-    hub = coord_cluster.sim.telemetry
-
-    chaos = run_coord_chaos(seed, scale=scale)
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
+    hub = coordinated.pop("_cluster").sim.telemetry
+    chaos = run_coord_chaos(seed)
+    return chaos, _stream_digest("globalqos-skew", hub, {
         "static": static,
         "coordinated": coordinated,
         "chaos": dataclasses.asdict(chaos),
     })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": "globalqos-skew",
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
 
 
-def globalqos_digest_all(seeds=GLOBALQOS_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every global-coordinator seed."""
-    return {str(seed): globalqos_digest(seed) for seed in seeds}
+def _chaos_run(harness: str, kind: str):
+    """One skew-chaos row, hashed: its cluster's streams and its report."""
+    def run(seed: int):
+        from repro.globalqos.chaos import SKEW_CHAOS, _run_skew_chaos
+
+        report, cluster = _run_skew_chaos(SKEW_CHAOS[harness], seed)
+        return report, _stream_digest(
+            kind, cluster.sim.telemetry,
+            {"chaos": dataclasses.asdict(report)},
+        )
+    return run
 
 
-#: Seeds for the partition/failover chaos digest.  Two, matching the
-#: globalqos family: each run covers the asymmetric partition, the
-#: standby takeover, the fencing path, and the fail-slow quarantine
-#: cycle, so two seeds pin every failover code path without doubling
-#: suite cost.
-PARTITION_SEEDS = (11, 23)
+def _scale_run(seed: int):
+    """A 10^4-client fluid run plus the fluid-vs-DES equivalence report.
 
-
-def partition_digest(seed: int,
-                     scale: Optional[SimScale] = None) -> Dict[str, str]:
-    """Digest the partition/failover chaos family for ``seed``.
-
-    One :func:`~repro.globalqos.chaos.run_partition_chaos` run, hashed
-    the same way as the other families: the HA cluster's metrics
-    stream (leader + standby + quarantine gauges), its ledger stream
-    (``quarantine`` / ``unquarantine`` events included), and the chaos
-    report payload.
-    """
-    import dataclasses
-
-    from repro.globalqos.chaos import _run_partition_chaos
-
-    report, cluster = _run_partition_chaos(
-        seed, periods=36, rebalance_periods=2, fallback_after=2,
-        takeover_after=2, puts_per_period=6, scale=scale,
-    )
-    hub = cluster.sim.telemetry
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
-        "chaos": dataclasses.asdict(report),
-    })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": "partition-failover",
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
-
-
-def partition_digest_all(seeds=PARTITION_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every partition-chaos seed."""
-    return {str(seed): partition_digest(seed) for seed in seeds}
-
-
-#: Seeds for the policy-flip/failover chaos digest family.  Two,
-#: matching the partition family it rides on: each run covers the
-#: mid-failover hot-swap, the three-way policy fencing, and the
-#: ledger's policy_apply audit.
-POLICY_SEEDS = (11, 23)
-
-
-def policy_digest(seed: int,
-                  scale: Optional[SimScale] = None) -> Dict[str, str]:
-    """Digest the policy-flip chaos family for ``seed``.
-
-    One :func:`~repro.policy.chaos.run_policy_chaos` run, hashed the
-    same way as the partition family: the HA cluster's metrics stream
-    (policy counters included), its ledger stream (``policy_apply``
-    events included), and the chaos report payload.
-    """
-    import dataclasses
-
-    from repro.policy.chaos import _run_policy_chaos
-
-    report, cluster = _run_policy_chaos(
-        seed, periods=36, rebalance_periods=2, fallback_after=2,
-        takeover_after=2, puts_per_period=6, scale=scale,
-    )
-    hub = cluster.sim.telemetry
-
-    metrics_text = metrics_jsonl(hub.period_rows)
-    ledger_text = ledger_jsonl(hub.ledger)
-    results_text = _canonical_json({
-        "chaos": dataclasses.asdict(report),
-    })
-    metrics_hash = _sha256(metrics_text)
-    ledger_hash = _sha256(ledger_text)
-    results_hash = _sha256(results_text)
-    return {
-        "kind": "policy-flip",
-        "metrics": metrics_hash,
-        "ledger": ledger_hash,
-        "results": results_hash,
-        "combined": _sha256(_canonical_json(
-            [metrics_hash, ledger_hash, results_hash]
-        )),
-    }
-
-
-def policy_digest_all(seeds=POLICY_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every policy-chaos seed."""
-    return {str(seed): policy_digest(seed) for seed in seeds}
-
-
-#: Seeds for the hierarchical-tenancy / fluid-scale digest family.
-SCALE_SEEDS = (11, 23)
-
-
-def scale_digest(seed: int) -> Dict[str, object]:
-    """Digest the fluid-scale family for ``seed``.
-
-    Two parts: a 10^4-client fluid run (the ``fluid-scale`` cell's full
-    report — completions, rollups, resize ops, ledger verdicts) and the
-    fluid-vs-exact-DES equivalence report on the down-scaled config
-    (:func:`~repro.fluid.validate.run_equivalence`).  Alongside the
-    digests the entry records the documented attainment tolerance tier
-    and the equivalence verdict, so the pinned reference file carries
-    the validation contract, not just opaque hashes.
+    Alongside the digests the entry records the documented attainment
+    tolerance tier and the equivalence verdict, so the pinned reference
+    file carries the validation contract, not just opaque hashes.
     """
     from repro.fluid.scenario import run_fluid_scale
     from repro.fluid.validate import TOLERANCE_TIER, run_equivalence
@@ -316,7 +201,7 @@ def scale_digest(seed: int) -> Dict[str, object]:
 
     scale_hash = _sha256(_canonical_json(scale_report))
     equivalence_hash = _sha256(_canonical_json(equivalence))
-    return {
+    return None, {
         "kind": "fluid-scale",
         "fluid": scale_hash,
         "equivalence": equivalence_hash,
@@ -329,40 +214,87 @@ def scale_digest(seed: int) -> Dict[str, object]:
     }
 
 
-def scale_digest_all(seeds=SCALE_SEEDS) -> Dict[str, Dict[str, object]]:
-    """``{str(seed): digest}`` for every fluid-scale seed."""
-    return {str(seed): scale_digest(seed) for seed in seeds}
+def _fabric_run(seed: int):
+    """The fabric scenario family's full result payload.
 
-
-#: Seeds for the congestion-controlled-fabric digest family.
-FABRIC_SEEDS = (11, 23)
-
-
-def fabric_digest(seed: int) -> Dict[str, str]:
-    """Digest the fabric scenario family for ``seed``.
-
-    One :func:`~repro.cluster.fabric_scenarios.run_fabric_family` run:
-    incast with CC on and off, the WRITE-heavy / CAS-heavy / mixed-size
-    verb mixes, and the token-vs-congestion throttling pair.  The
-    payload folds in every congestion counter (ECN marks, CNPs, PFC
-    pauses, DCQCN rates, SQ stalls, chain statistics), so a single
-    reordered event or perturbed float anywhere in the modeled datapath
-    moves the hash.
+    Incast with CC on and off, the WRITE-heavy / CAS-heavy / mixed-size
+    verb mixes, and the token-vs-congestion throttling pair; every
+    congestion counter is in the payload, so a single reordered event
+    or perturbed float anywhere in the modeled datapath moves the hash.
     """
     from repro.cluster.fabric_scenarios import run_fabric_family
 
-    family = run_fabric_family(seed)
-    results_hash = _sha256(_canonical_json(family))
-    return {
+    results_hash = _sha256(_canonical_json(run_fabric_family(seed)))
+    return None, {
         "kind": "fabric-cc",
         "results": results_hash,
         "combined": _sha256(_canonical_json([results_hash])),
     }
 
 
-def fabric_digest_all(seeds=FABRIC_SEEDS) -> Dict[str, Dict[str, str]]:
-    """``{str(seed): digest}`` for every fabric seed."""
-    return {str(seed): fabric_digest(seed) for seed in seeds}
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """One digest family: its seeds, its run, and the parts it hashes.
+
+    ``run(seed)`` returns ``(report, digest)``; ``report`` is the chaos
+    report the digest folds in (for families built on a chaos harness,
+    named by ``harness``) or None.
+    """
+
+    seeds: Tuple[int, ...]
+    run: Callable[[int], Tuple[object, Dict[str, object]]]
+    parts: Tuple[str, ...] = STREAM_PARTS
+    harness: Optional[str] = None
+
+
+#: Every pinned family, keyed as in the committed reference file.  The
+#: multi-node families use two seeds, not five: each run already covers
+#: its rebalance / fallback / failover / fencing paths, so two seeds pin
+#: every path at acceptable suite cost.
+FAMILIES: Dict[str, Family] = {
+    "seeds": Family(CANONICAL_SEEDS,
+                    lambda seed: (None, determinism_digest(seed))),
+    "globalqos": Family((11, 23), _globalqos_run, harness="coord"),
+    "partition": Family((11, 23),
+                        _chaos_run("partition", "partition-failover"),
+                        harness="partition"),
+    "policy": Family((11, 23), _chaos_run("policy", "policy-flip"),
+                     harness="policy"),
+    "scale": Family((11, 23), _scale_run,
+                    parts=("kind", "fluid", "equivalence", "combined")),
+    "fabric": Family((11, 23), _fabric_run,
+                     parts=("kind", "results", "combined")),
+}
+
+
+def load_reference() -> dict:
+    """The committed reference digests, every family."""
+    try:
+        with open(REFERENCE_PATH) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(
+            f"determinism reference {REFERENCE_PATH} not found: the "
+            "digest checks need a source checkout"
+        ) from None
+
+
+def compare_to_reference(family: str) -> Dict[str, dict]:
+    """Recompute ``family``'s digests against the committed reference.
+
+    Returns ``{str(seed): {"combined", "matched"}}``; raises
+    :class:`~repro.common.errors.ConfigError` when the reference file
+    is missing.
+    """
+    reference = load_reference()[family]
+    out = {}
+    for seed in FAMILIES[family].seeds:
+        combined = FAMILIES[family].run(seed)[1]["combined"]
+        out[str(seed)] = {
+            "combined": combined,
+            "matched": combined == reference[str(seed)]["combined"],
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -378,16 +310,11 @@ def main(argv=None) -> int:
         "benchmarks/results/determinism_hashes.json)",
     )
     args = parser.parse_args(argv)
-    digests = digest_all()
-    globalqos = globalqos_digest_all()
-    partition = partition_digest_all()
-    policy = policy_digest_all()
-    scale = scale_digest_all()
-    fabric = fabric_digest_all()
     text = json.dumps(
-        {"seeds": digests, "globalqos": globalqos,
-         "partition": partition, "policy": policy, "scale": scale,
-         "fabric": fabric},
+        {
+            name: {str(seed): family.run(seed)[1] for seed in family.seeds}
+            for name, family in FAMILIES.items()
+        },
         indent=2, sort_keys=True,
     ) + "\n"
     if args.write:

@@ -422,20 +422,34 @@ class QoSMonitor:
         if self._running:
             raise QoSError("monitor already started")
         self._running = True
-        self.sim.process(self._run())
+        self.sim.schedule(0.0, self._period_open)
 
-    def _run(self):
-        config = self.config
-        while True:
-            self._begin_period()
-            remaining = self._period_end - self.sim.now
-            while remaining > config.check_interval:
-                yield self.sim.timeout(config.check_interval)
-                self._check_interval()
-                remaining = self._period_end - self.sim.now
-            if remaining > 0:
-                yield self.sim.timeout(remaining)
-            self._end_period()
+    # The period loop is a self-rescheduling callback chain: open a
+    # period, tick every check interval, close it at the boundary, open
+    # the next.  Keep the schedule calls where they are: the simulator's
+    # seq counter breaks same-timestamp ties, so moving one reorders
+    # events and changes every determinism digest.
+    def _period_open(self) -> None:
+        self._begin_period()
+        self._period_wait()
+
+    def _period_wait(self) -> None:
+        interval = self.config.check_interval
+        remaining = self._period_end - self.sim.now
+        if remaining > interval:
+            self.sim.schedule(interval, self._period_check)
+        elif remaining > 0:
+            self.sim.schedule(remaining, self._period_close)
+        else:
+            self._period_close()
+
+    def _period_check(self) -> None:
+        self._check_interval()
+        self._period_wait()
+
+    def _period_close(self) -> None:
+        self._end_period()
+        self._period_open()
 
     def _begin_period(self) -> None:
         self.period_id += 1

@@ -1,10 +1,11 @@
 """Declarative, versioned, hot-swappable QoS policies (docs/POLICY.md).
 
 The document model and store live here; the service half
-(:mod:`repro.policy.service`) and the failover chaos harness
-(:mod:`repro.policy.chaos`) import the heavier globalqos machinery and
-are imported explicitly by their users, keeping this package root
+(:mod:`repro.policy.service`) imports the heavier globalqos machinery
+and is imported explicitly by its users, keeping this package root
 dependency-light for the scenario modules that only need documents.
+The policy-flip failover chaos harness is the ``policy`` row of
+:data:`repro.globalqos.chaos.SKEW_CHAOS`.
 """
 
 from repro.policy.document import (

@@ -137,14 +137,16 @@ def _attach_put_driver(cluster: ReplicatedCluster, manager, index: int,
     num_slots = cluster.data_node.store.layout.num_slots
     payload = b"chaos"
 
-    def driver():
-        key = index % num_slots
-        while sim.now < stop_time:
+    key = index % num_slots
+
+    def tick():
+        nonlocal key
+        if sim.now < stop_time:
             manager.put(key, payload)
             key = (key + 7) % num_slots
-            yield sim.timeout(gap)
+            sim.schedule(gap, tick)
 
-    sim.process(driver())
+    sim.schedule(0.0, tick)
 
 
 def run_chaos(

@@ -1,44 +1,31 @@
 """Discrete-event simulation kernel.
 
-A small, fast, from-scratch DES engine in the style of simpy:
+A small, fast, from-scratch, callback-only DES engine:
 
 - :class:`~repro.sim.core.Simulator` — binary-heap event loop with
-  deterministic FIFO tie-breaking for simultaneous events.
-- :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Timeout` —
-  one-shot waitables.
-- :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes with interrupt support.
-- :mod:`~repro.sim.resources` — semaphores, FIFO stores, and the O(1)
-  "next-free-time" :class:`~repro.sim.resources.Pipeline` used to model
-  NIC and CPU service stages.
-- :mod:`~repro.sim.stats` — time-series probes, counters, and latency
-  reservoirs.
-
-The I/O hot path of the RDMA model is callback-based (no generator
-resumption per event) so that multi-million-event runs stay tractable in
-pure Python.
+  deterministic FIFO tie-breaking for simultaneous events.  Periodic
+  work (monitor periods, engine ticks, chaos drivers) is a callback
+  that reschedules itself.
+- :class:`~repro.sim.events.Event` — a one-shot waitable, used by
+  :class:`~repro.sim.resources.Semaphore` to hand slots to waiters.
+- :mod:`~repro.sim.resources` — semaphores, the virtual-time token
+  bucket, and the O(1) "next-free-time"
+  :class:`~repro.sim.resources.Pipeline` used to model NIC and CPU
+  service stages.
+- :mod:`~repro.sim.stats` — counters and latency reservoirs.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.process import Process
-from repro.sim.resources import Pipeline, Semaphore, Store, TokenBucket
-from repro.sim.stats import Counter, LatencyHistogram, LatencyReservoir, TimeSeries
+from repro.sim.events import Event
+from repro.sim.resources import Pipeline, Semaphore, TokenBucket
+from repro.sim.stats import Counter, LatencyReservoir
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Counter",
     "Event",
-    "Interrupt",
-    "LatencyHistogram",
     "LatencyReservoir",
     "Pipeline",
-    "Process",
     "Semaphore",
     "Simulator",
-    "Store",
-    "TimeSeries",
-    "Timeout",
     "TokenBucket",
 ]

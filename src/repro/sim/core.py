@@ -19,10 +19,7 @@ and the bit-identity of whole runs by the determinism guard
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Optional
-
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from typing import Any, Callable, Optional
 
 
 class Simulator:
@@ -32,7 +29,6 @@ class Simulator:
 
         sim = Simulator()
         sim.schedule(1.0, print, "one second in")
-        sim.process(my_generator(sim))
         sim.run(until=10.0)
 
     Time is a float in *seconds*.  ``run(until=t)`` executes every event
@@ -74,29 +70,6 @@ class Simulator:
             )
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn, args))
-
-    # ------------------------------------------------------------------
-    # Waitable factories
-    # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """A fresh, untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that succeeds after ``delay`` seconds."""
-        return Timeout(self, delay, value)
-
-    def any_of(self, events) -> AnyOf:
-        """An event that succeeds when the first of ``events`` does."""
-        return AnyOf(self, list(events))
-
-    def all_of(self, events) -> AllOf:
-        """An event that succeeds when every one of ``events`` has."""
-        return AllOf(self, list(events))
-
-    def process(self, gen: Generator) -> Process:
-        """Spawn a cooperative process from generator ``gen``."""
-        return Process(self, gen)
 
     # ------------------------------------------------------------------
     # Execution

@@ -1,9 +1,10 @@
-"""Waitable events for the DES kernel.
+"""The one waitable of the DES kernel.
 
 An :class:`Event` is a one-shot waitable: callbacks registered before it
-triggers run (in registration order) when it does.  :class:`Timeout` is an
-event pre-scheduled to succeed at ``now + delay``.  :class:`AnyOf`
-triggers when the first of its children triggers.
+triggers run (in registration order) when it does.  The kernel is
+callback-only; an event is how :class:`~repro.sim.resources.Semaphore`
+passes a slot to a parked waiter (the fabric model's send-queue depth,
+:mod:`repro.rdma.cc`).
 
 Events deliberately carry very little state (``__slots__``) because the
 RDMA hot path allocates one per posted work request.
@@ -12,17 +13,6 @@ RDMA hot path allocates one per posted work request.
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -88,74 +78,3 @@ class Event:
         callbacks, self.callbacks = self.callbacks, None
         for fn in callbacks:
             fn(self)
-
-
-class Timeout(Event):
-    """An event that succeeds ``delay`` simulated seconds after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):  # noqa: F821
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        sim.schedule(delay, self._expire, value)
-
-    def _expire(self, value: Any) -> None:
-        if not self.triggered:
-            self.succeed(value)
-
-
-class AnyOf(Event):
-    """Triggers (successfully) when the first child event triggers.
-
-    The value is the child event that fired first.  A failing child fails
-    the AnyOf with the child's exception.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: List[Event]):  # noqa: F821
-        super().__init__(sim)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        for ev in events:
-            ev.add_callback(self._child_fired)
-
-    def _child_fired(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if child.ok:
-            self.succeed(child)
-        else:
-            self.fail(child.exception)
-
-
-class AllOf(Event):
-    """Triggers when every child has triggered.
-
-    Succeeds with the list of child values (in construction order)
-    once all children succeed; fails fast with the first child failure.
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: List[Event]):  # noqa: F821
-        super().__init__(sim)
-        if not events:
-            raise ValueError("AllOf requires at least one event")
-        self._children = list(events)
-        self._remaining = len(self._children)
-        for ev in self._children:
-            ev.add_callback(self._child_fired)
-
-    def _child_fired(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child.exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([ev.value for ev in self._children])

@@ -1,6 +1,6 @@
 """Shared-resource primitives for the DES kernel.
 
-Four primitives cover everything the RDMA model needs:
+Three primitives cover everything the RDMA model needs:
 
 - :class:`Pipeline` — a serial FIFO server with O(1) bookkeeping
   ("next-free-time" model).  This is how NIC issue/processing stages and
@@ -8,8 +8,6 @@ Four primitives cover everything the RDMA model needs:
   completes at ``max(t, free) + c``.
 - :class:`Semaphore` — a counting semaphore with event-based acquire,
   used for bounded outstanding work requests on a queue pair.
-- :class:`Store` — an unbounded FIFO of items with event-based ``get``,
-  used for RPC request queues.
 - :class:`TokenBucket` — a continuous-refill rate limiter evaluated in
   *virtual* time, used for the fabric model's per-verb posting buckets
   and anywhere else a deterministic "earliest time n tokens exist"
@@ -19,7 +17,7 @@ Four primitives cover everything the RDMA model needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.sim.events import Event
 
@@ -173,42 +171,6 @@ class Semaphore:
             if self._available >= self.capacity:
                 raise RuntimeError("semaphore released more times than acquired")
             self._available += 1
-
-
-class Store:
-    """Unbounded FIFO of items with event-based ``get``."""
-
-    __slots__ = ("sim", "_items", "_getters")
-
-    def __init__(self, sim: "Simulator"):  # noqa: F821
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item; wakes the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """An event that succeeds with the next item (FIFO order)."""
-        ev = Event(self.sim)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
 
 
 class TokenBucket:

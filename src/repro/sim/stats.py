@@ -1,4 +1,4 @@
-"""Measurement probes: counters, time series, latency reservoirs.
+"""Measurement probes: counters and latency reservoirs.
 
 These are deliberately simulation-agnostic containers; the experiment
 harness decides what to record and when to reset for warm-up windows.
@@ -7,7 +7,7 @@ harness decides what to record and when to reset for warm-up windows.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List
 
 
 class Counter:
@@ -31,36 +31,6 @@ class Counter:
     def in_window(self) -> int:
         """Events counted since the last :meth:`mark_window`."""
         return self.total - self._window_start
-
-
-class TimeSeries:
-    """An append-only list of ``(time, value)`` samples."""
-
-    __slots__ = ("times", "values")
-
-    def __init__(self) -> None:
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one sample."""
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Samples with ``start <= time < end`` as a new series."""
-        out = TimeSeries()
-        for t, v in zip(self.times, self.values):
-            if start <= t < end:
-                out.record(t, v)
-        return out
-
-    def items(self) -> Sequence[Tuple[float, float]]:
-        """The samples as (time, value) pairs."""
-        return list(zip(self.times, self.values))
 
 
 class LatencyReservoir:
@@ -130,101 +100,3 @@ class LatencyReservoir:
         self._skip = 0
         self.count = 0
         self._sum = 0.0
-
-
-class LatencyHistogram:
-    """Log-bucketed latency histogram with bounded, O(1) recording.
-
-    Buckets are logarithmic between ``min_latency`` and ``max_latency``
-    (default 100 ns to 10 s, 40 buckets per decade — HDR-histogram-like
-    2.9% relative resolution).  Unlike :class:`LatencyReservoir`, memory
-    is fixed regardless of sample count and tail percentiles never
-    degrade, at the cost of bucket-width quantization.
-    """
-
-    def __init__(self, min_latency: float = 1e-7, max_latency: float = 10.0,
-                 buckets_per_decade: int = 40):
-        if not 0 < min_latency < max_latency:
-            raise ValueError(
-                f"need 0 < min_latency < max_latency, got "
-                f"{min_latency}, {max_latency}"
-            )
-        if buckets_per_decade < 1:
-            raise ValueError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        self.min_latency = min_latency
-        self.max_latency = max_latency
-        self._log_min = math.log10(min_latency)
-        self._per_decade = buckets_per_decade
-        decades = math.log10(max_latency) - self._log_min
-        self._nbuckets = int(math.ceil(decades * buckets_per_decade)) + 1
-        self._counts = [0] * (self._nbuckets + 2)  # +under/overflow
-        self.count = 0
-        self._sum = 0.0
-
-    def _bucket(self, latency: float) -> int:
-        if latency < self.min_latency:
-            return 0  # underflow
-        if latency >= self.max_latency:
-            return self._nbuckets + 1  # overflow
-        offset = (math.log10(latency) - self._log_min) * self._per_decade
-        return 1 + int(offset)
-
-    def _bucket_upper(self, index: int) -> float:
-        # index is 1-based within the log range
-        return 10 ** (self._log_min + index / self._per_decade)
-
-    def record(self, latency: float) -> None:
-        """Record one latency sample (seconds)."""
-        self.count += 1
-        self._sum += latency
-        self._counts[self._bucket(latency)] += 1
-
-    @property
-    def mean(self) -> float:
-        """Exact mean over all samples."""
-        return self._sum / self.count if self.count else math.nan
-
-    def percentile(self, pct: float) -> float:
-        """Upper bound of the bucket holding the ``pct`` percentile."""
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError(f"percentile out of range: {pct}")
-        if self.count == 0:
-            return math.nan
-        target = pct / 100.0 * self.count
-        running = 0
-        for index, bucket_count in enumerate(self._counts):
-            running += bucket_count
-            if running >= target and bucket_count:
-                if index == 0:
-                    return self.min_latency
-                if index == self._nbuckets + 1:
-                    return self.max_latency
-                return self._bucket_upper(index)
-        return self.max_latency
-
-    def summary(self) -> dict:
-        """Mean / p99 / p99.9 / count, like the reservoir's."""
-        return {
-            "mean": self.mean,
-            "p99": self.percentile(99.0),
-            "p999": self.percentile(99.9),
-            "count": self.count,
-        }
-
-    def reset(self) -> None:
-        """Drop all samples."""
-        self._counts = [0] * (self._nbuckets + 2)
-        self.count = 0
-        self._sum = 0.0
-
-
-def mean_and_std(values: Sequence[float]) -> Tuple[float, float]:
-    """Sample mean and population standard deviation of ``values``."""
-    n = len(values)
-    if n == 0:
-        return math.nan, math.nan
-    mu = sum(values) / n
-    var = sum((v - mu) ** 2 for v in values) / n
-    return mu, math.sqrt(var)

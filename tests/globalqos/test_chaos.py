@@ -11,8 +11,8 @@ from repro.globalqos.chaos import (
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-def test_documented_seed_has_no_violations(seed):
-    report = run_coord_chaos(seed)
+def test_documented_seed_has_no_violations(seed, chaos_runs):
+    report = chaos_runs.report("coord", seed)
     assert report.ok, report.violations
     # The run actually exercised the ladder, not just a quiet cluster.
     assert report.fallbacks >= 1
@@ -37,8 +37,8 @@ def test_too_short_run_rejected():
 # Partition + fail-slow chaos (the HA failover harness)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-def test_partition_seed_has_no_violations(seed):
-    report = run_partition_chaos(seed)
+def test_partition_seed_has_no_violations(seed, chaos_runs):
+    report = chaos_runs.report("partition", seed)
     assert report.ok, report.violations
     # The failover story actually played out, on every seed:
     # exactly one bounded takeover, at least one step-down, the

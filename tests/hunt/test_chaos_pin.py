@@ -21,17 +21,13 @@ def _load(name):
 
 
 @pytest.mark.parametrize("seed", [11, 23])
-def test_recovery_chaos_reports_are_pinned(seed):
-    from repro.recovery.chaos import run_chaos
-
+def test_recovery_chaos_reports_are_pinned(seed, chaos_runs):
     expected = _load("chaos_pin_recovery.json")[str(seed)]
-    got = dataclasses.asdict(run_chaos(seed))
+    got = dataclasses.asdict(chaos_runs.report("recovery", seed))
     assert got == expected
 
 
-def test_globalqos_chaos_report_is_pinned():
-    from repro.globalqos.chaos import run_coord_chaos
-
+def test_globalqos_chaos_report_is_pinned(chaos_runs):
     expected = _load("chaos_pin_globalqos.json")["11"]
-    got = dataclasses.asdict(run_coord_chaos(11))
+    got = dataclasses.asdict(chaos_runs.report("coord", 11))
     assert got == expected

@@ -1,10 +1,11 @@
 """The determinism guard, pinned.
 
-Recomputes the canonical-seed digests and compares them against the
-committed reference (``benchmarks/results/determinism_hashes.json``).
-A failure here means simulated *behaviour* changed — an event reorder,
-a float that took a different path, an RNG consumed at a different
-point.  If the change was intentional, regenerate the reference with
+Recomputes every family of :data:`repro.cluster.determinism.FAMILIES`
+on its seeds and compares the digests against the committed reference
+(``benchmarks/results/determinism_hashes.json``).  A failure here means
+simulated *behaviour* changed — an event reorder, a float that took a
+different path, an RNG consumed at a different point.  If the change
+was intentional, regenerate the reference with
 
     PYTHONPATH=src python -m repro.cluster.determinism \
         --write benchmarks/results/determinism_hashes.json
@@ -12,185 +13,118 @@ point.  If the change was intentional, regenerate the reference with
 and say so in the commit message.  If it was not intentional (a
 "pure" refactor or performance change), the change is wrong — fix it,
 not the reference.
-"""
 
-import json
-import pathlib
+Each family's run is shared through the session's ``chaos_runs`` memo,
+so the chaos families' digests reuse the runs the invariant tests and
+chaos pins already paid for.
+"""
 
 import pytest
 
 from repro.cluster.determinism import (
     CANONICAL_SEEDS,
-    FABRIC_SEEDS,
-    GLOBALQOS_SEEDS,
-    PARTITION_SEEDS,
-    POLICY_SEEDS,
-    SCALE_SEEDS,
+    FAMILIES,
     SEED_FAULTS,
-    determinism_digest,
-    fabric_digest,
-    globalqos_digest,
-    partition_digest,
-    policy_digest,
-    scale_digest,
-)
-
-REFERENCE = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks" / "results" / "determinism_hashes.json"
+    load_reference,
 )
 
 
 @pytest.fixture(scope="module")
 def reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["seeds"]
+    return load_reference()
 
 
-def test_reference_covers_every_canonical_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["seeds"]
-    assert sorted(seeds) == sorted(str(s) for s in CANONICAL_SEEDS)
+def _assert_covers(reference, family):
+    assert sorted(reference[family]) == sorted(
+        str(s) for s in FAMILIES[family].seeds
+    )
+
+
+def _assert_matches(chaos_runs, reference, family, seed):
+    digest = chaos_runs.digest(family, seed)
+    expected = reference[family][str(seed)]
+    # Compare the parts before the combined hash so a mismatch names
+    # the stream that moved (metrics vs ledger vs results).
+    for part in FAMILIES[family].parts:
+        assert digest[part] == expected[part], (
+            f"{family} seed {seed}: {part} digest changed -- simulated "
+            f"behaviour is no longer bit-identical to the committed "
+            f"reference"
+        )
+    return digest
+
+
+def test_table_covers_every_reference_family(reference):
+    assert sorted(FAMILIES) == sorted(reference)
+
+
+def test_reference_covers_every_canonical_seed(reference):
+    _assert_covers(reference, "seeds")
+    assert FAMILIES["seeds"].seeds == CANONICAL_SEEDS
     assert sorted(SEED_FAULTS) == sorted(CANONICAL_SEEDS)
 
 
-@pytest.mark.parametrize("seed", CANONICAL_SEEDS)
-def test_digest_matches_committed_reference(seed, reference):
-    digest = determinism_digest(seed)
-    expected = reference[str(seed)]
-    # Compare the parts before the combined hash so a mismatch names
-    # the stream that moved (metrics vs ledger vs results).
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"seed {seed}: {part} digest changed -- simulated behaviour "
-            f"is no longer bit-identical to the committed reference"
-        )
+def test_globalqos_reference_covers_every_seed(reference):
+    _assert_covers(reference, "globalqos")
 
 
-@pytest.fixture(scope="module")
-def globalqos_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["globalqos"]
+def test_partition_reference_covers_every_seed(reference):
+    _assert_covers(reference, "partition")
 
 
-def test_globalqos_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["globalqos"]
-    assert sorted(seeds) == sorted(str(s) for s in GLOBALQOS_SEEDS)
+def test_policy_reference_covers_every_seed(reference):
+    _assert_covers(reference, "policy")
 
 
-@pytest.mark.parametrize("seed", GLOBALQOS_SEEDS)
+def test_scale_reference_covers_every_seed(reference):
+    _assert_covers(reference, "scale")
+
+
+def test_fabric_reference_covers_every_seed(reference):
+    _assert_covers(reference, "fabric")
+
+
+@pytest.mark.parametrize("seed", FAMILIES["seeds"].seeds)
+def test_digest_matches_committed_reference(seed, chaos_runs, reference):
+    _assert_matches(chaos_runs, reference, "seeds", seed)
+
+
+@pytest.mark.parametrize("seed", FAMILIES["globalqos"].seeds)
 def test_globalqos_digest_matches_committed_reference(
-    seed, globalqos_reference
+    seed, chaos_runs, reference
 ):
-    digest = globalqos_digest(seed)
-    expected = globalqos_reference[str(seed)]
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"globalqos seed {seed}: {part} digest changed -- the "
-            f"coordinator scenario is no longer bit-identical to the "
-            f"committed reference"
-        )
+    _assert_matches(chaos_runs, reference, "globalqos", seed)
 
 
-@pytest.fixture(scope="module")
-def partition_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["partition"]
-
-
-def test_partition_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["partition"]
-    assert sorted(seeds) == sorted(str(s) for s in PARTITION_SEEDS)
-
-
-@pytest.mark.parametrize("seed", PARTITION_SEEDS)
+@pytest.mark.parametrize("seed", FAMILIES["partition"].seeds)
 def test_partition_digest_matches_committed_reference(
-    seed, partition_reference
+    seed, chaos_runs, reference
 ):
-    digest = partition_digest(seed)
-    expected = partition_reference[str(seed)]
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"partition seed {seed}: {part} digest changed -- the "
-            f"failover scenario is no longer bit-identical to the "
-            f"committed reference"
-        )
+    _assert_matches(chaos_runs, reference, "partition", seed)
 
 
-@pytest.fixture(scope="module")
-def policy_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["policy"]
+@pytest.mark.parametrize("seed", FAMILIES["policy"].seeds)
+def test_policy_digest_matches_committed_reference(
+    seed, chaos_runs, reference
+):
+    _assert_matches(chaos_runs, reference, "policy", seed)
 
 
-def test_policy_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["policy"]
-    assert sorted(seeds) == sorted(str(s) for s in POLICY_SEEDS)
-
-
-@pytest.mark.parametrize("seed", POLICY_SEEDS)
-def test_policy_digest_matches_committed_reference(seed, policy_reference):
-    digest = policy_digest(seed)
-    expected = policy_reference[str(seed)]
-    for part in ("kind", "metrics", "ledger", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"policy seed {seed}: {part} digest changed -- the "
-            f"policy-flip failover scenario is no longer bit-identical "
-            f"to the committed reference"
-        )
-
-
-@pytest.fixture(scope="module")
-def scale_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["scale"]
-
-
-def test_scale_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["scale"]
-    assert sorted(seeds) == sorted(str(s) for s in SCALE_SEEDS)
-
-
-@pytest.mark.parametrize("seed", SCALE_SEEDS)
-def test_scale_digest_matches_committed_reference(seed, scale_reference):
-    digest = scale_digest(seed)
-    expected = scale_reference[str(seed)]
-    for part in ("kind", "fluid", "equivalence", "combined"):
-        assert digest[part] == expected[part], (
-            f"scale seed {seed}: {part} digest changed -- the fluid "
-            f"fast path is no longer bit-identical to the committed "
-            f"reference"
-        )
+@pytest.mark.parametrize("seed", FAMILIES["scale"].seeds)
+def test_scale_digest_matches_committed_reference(
+    seed, chaos_runs, reference
+):
+    digest = _assert_matches(chaos_runs, reference, "scale", seed)
     # The recorded approximation quality holds, not just the hash: the
     # equivalence check passed inside the committed tolerance tier.
+    expected = reference["scale"][str(seed)]
     assert digest["equivalence_ok"] is True
     assert digest["tolerance_tier"] == expected["tolerance_tier"]
     assert digest["max_error"] <= digest["tolerance_tier"]
 
 
-@pytest.fixture(scope="module")
-def fabric_reference():
-    with open(REFERENCE) as fh:
-        return json.load(fh)["fabric"]
-
-
-def test_fabric_reference_covers_every_seed():
-    with open(REFERENCE) as fh:
-        seeds = json.load(fh)["fabric"]
-    assert sorted(seeds) == sorted(str(s) for s in FABRIC_SEEDS)
-
-
-@pytest.mark.parametrize("seed", FABRIC_SEEDS)
-def test_fabric_digest_matches_committed_reference(seed, fabric_reference):
-    digest = fabric_digest(seed)
-    expected = fabric_reference[str(seed)]
-    for part in ("kind", "results", "combined"):
-        assert digest[part] == expected[part], (
-            f"fabric seed {seed}: {part} digest changed -- the "
-            f"congestion-controlled datapath is no longer bit-identical "
-            f"to the committed reference"
-        )
+@pytest.mark.parametrize("seed", FAMILIES["fabric"].seeds)
+def test_fabric_digest_matches_committed_reference(
+    seed, chaos_runs, reference
+):
+    _assert_matches(chaos_runs, reference, "fabric", seed)

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.policy.chaos import DEFAULT_SEEDS, run_policy_chaos
+from repro.globalqos.chaos import DEFAULT_SEEDS, run_policy_chaos
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-def test_documented_seed_has_no_violations(seed):
-    report = run_policy_chaos(seed)
+def test_documented_seed_has_no_violations(seed, chaos_runs):
+    report = chaos_runs.report("policy", seed)
     assert report.ok, report.violations
     # The flip actually rode a failover: exactly one bounded takeover,
     # revision 2 live at run end.

@@ -15,8 +15,8 @@ from repro.recovery.chaos import (
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-    def test_documented_seed_has_zero_violations(self, seed):
-        report = run_chaos(seed)
+    def test_documented_seed_has_zero_violations(self, seed, chaos_runs):
+        report = chaos_runs.report("recovery", seed)
         assert report.ok, report.violations
         # the harness actually exercised the tentpole machinery
         assert report.failovers >= 1
@@ -26,8 +26,8 @@ class TestInvariants:
 
 class TestTokenConservation:
     @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-    def test_ledger_balances_through_chaos(self, seed):
-        report = run_chaos(seed)
+    def test_ledger_balances_through_chaos(self, seed, chaos_runs):
+        report = chaos_runs.report("recovery", seed)
         ledger_violations = [v for v in report.violations
                              if v.startswith("token ledger")]
         assert ledger_violations == []

@@ -1,12 +1,12 @@
-"""Event, Timeout and AnyOf semantics."""
+"""Event semantics."""
 
 import pytest
 
-from repro.sim import AnyOf, Event, Timeout
+from repro.sim import Event
 
 
 def test_succeed_delivers_value_to_callbacks(sim):
-    ev = sim.event()
+    ev = Event(sim)
     got = []
     ev.add_callback(lambda e: got.append(e.value))
     ev.succeed(42)
@@ -15,7 +15,7 @@ def test_succeed_delivers_value_to_callbacks(sim):
 
 
 def test_callback_added_after_trigger_runs_immediately(sim):
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed("done")
     got = []
     ev.add_callback(lambda e: got.append(e.value))
@@ -23,14 +23,14 @@ def test_callback_added_after_trigger_runs_immediately(sim):
 
 
 def test_double_trigger_raises(sim):
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed()
     with pytest.raises(RuntimeError):
         ev.succeed()
 
 
 def test_fail_records_exception(sim):
-    ev = sim.event()
+    ev = Event(sim)
     err = RuntimeError("boom")
     ev.fail(err)
     assert not ev.ok
@@ -38,99 +38,15 @@ def test_fail_records_exception(sim):
 
 
 def test_fail_requires_exception_instance(sim):
-    ev = sim.event()
+    ev = Event(sim)
     with pytest.raises(TypeError):
         ev.fail("not an exception")
 
 
 def test_callbacks_run_in_registration_order(sim):
-    ev = sim.event()
+    ev = Event(sim)
     order = []
     ev.add_callback(lambda e: order.append(1))
     ev.add_callback(lambda e: order.append(2))
     ev.succeed()
     assert order == [1, 2]
-
-
-def test_timeout_fires_at_deadline(sim):
-    ev = sim.timeout(2.5, value="tick")
-    got = []
-    ev.add_callback(lambda e: got.append((sim.now, e.value)))
-    sim.run()
-    assert got == [(2.5, "tick")]
-
-
-def test_negative_timeout_rejected(sim):
-    with pytest.raises(ValueError):
-        sim.timeout(-1.0)
-
-
-def test_zero_timeout_fires(sim):
-    ev = sim.timeout(0.0)
-    sim.run()
-    assert ev.triggered
-
-
-def test_anyof_triggers_on_first_child(sim):
-    slow = sim.timeout(5.0)
-    fast = sim.timeout(1.0)
-    any_ev = sim.any_of([slow, fast])
-    got = []
-    any_ev.add_callback(lambda e: got.append(e.value))
-    sim.run()
-    assert got[0] is fast
-
-
-def test_anyof_only_triggers_once(sim):
-    a = sim.timeout(1.0)
-    b = sim.timeout(2.0)
-    any_ev = sim.any_of([a, b])
-    count = []
-    any_ev.add_callback(lambda e: count.append(1))
-    sim.run()
-    assert count == [1]
-
-
-def test_anyof_requires_events(sim):
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-
-
-def test_anyof_propagates_child_failure(sim):
-    child = sim.event()
-    any_ev = sim.any_of([child])
-    child.fail(ValueError("bad"))
-    assert not any_ev.ok
-    assert isinstance(any_ev.exception, ValueError)
-
-
-def test_allof_collects_values_in_order(sim):
-    slow = sim.timeout(2.0, value="slow")
-    fast = sim.timeout(1.0, value="fast")
-    both = sim.all_of([slow, fast])
-    got = []
-    both.add_callback(lambda e: got.append((sim.now, e.value)))
-    sim.run()
-    assert got == [(2.0, ["slow", "fast"])]
-
-
-def test_allof_fails_fast_on_child_failure(sim):
-    bad = sim.event()
-    pending = sim.timeout(10.0)
-    both = sim.all_of([bad, pending])
-    bad.fail(ValueError("nope"))
-    assert both.triggered and not both.ok
-
-
-def test_allof_requires_events(sim):
-    from repro.sim.events import AllOf
-    with pytest.raises(ValueError):
-        AllOf(sim, [])
-
-
-def test_allof_with_pretriggered_children(sim):
-    done = sim.event()
-    done.succeed(1)
-    both = sim.all_of([done, sim.timeout(1.0, value=2)])
-    sim.run()
-    assert both.value == [1, 2]

@@ -1,11 +1,10 @@
-"""Counters, time series and latency reservoirs."""
+"""Counters and latency reservoirs."""
 
 import math
 
 import pytest
 
-from repro.sim import Counter, LatencyReservoir, TimeSeries
-from repro.sim.stats import mean_and_std
+from repro.sim import Counter, LatencyReservoir
 
 
 class TestCounter:
@@ -22,22 +21,6 @@ class TestCounter:
         c.add(3)
         assert c.in_window == 3
         assert c.total == 13
-
-
-class TestTimeSeries:
-    def test_record_and_items(self):
-        ts = TimeSeries()
-        ts.record(1.0, 10.0)
-        ts.record(2.0, 20.0)
-        assert ts.items() == [(1.0, 10.0), (2.0, 20.0)]
-        assert len(ts) == 2
-
-    def test_window_is_half_open(self):
-        ts = TimeSeries()
-        for t in range(5):
-            ts.record(float(t), float(t))
-        w = ts.window(1.0, 3.0)
-        assert w.items() == [(1.0, 1.0), (2.0, 2.0)]
 
 
 class TestLatencyReservoir:
@@ -94,80 +77,3 @@ class TestLatencyReservoir:
     def test_tiny_max_samples_rejected(self):
         with pytest.raises(ValueError):
             LatencyReservoir(max_samples=10)
-
-
-def test_mean_and_std():
-    mu, sigma = mean_and_std([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-    assert mu == pytest.approx(5.0)
-    assert sigma == pytest.approx(2.0)
-
-
-def test_mean_and_std_empty():
-    mu, sigma = mean_and_std([])
-    assert math.isnan(mu) and math.isnan(sigma)
-
-
-class TestLatencyHistogram:
-    def make(self):
-        from repro.sim.stats import LatencyHistogram
-
-        return LatencyHistogram()
-
-    def test_mean_is_exact(self):
-        h = self.make()
-        for v in (1e-6, 2e-6, 3e-6):
-            h.record(v)
-        assert h.mean == pytest.approx(2e-6)
-        assert h.count == 3
-
-    def test_percentiles_within_bucket_resolution(self):
-        h = self.make()
-        for i in range(1, 1001):
-            h.record(i * 1e-6)  # 1 us .. 1 ms uniform
-        # log buckets at 40/decade: ~6% upper-bound error
-        assert h.percentile(50) == pytest.approx(500e-6, rel=0.08)
-        assert h.percentile(99) == pytest.approx(990e-6, rel=0.08)
-
-    def test_tail_resolution_does_not_degrade_with_volume(self):
-        h = self.make()
-        for _ in range(100_000):
-            h.record(10e-6)
-        for _ in range(100):
-            h.record(5e-3)  # 0.1% outliers in 100k samples
-        assert h.percentile(99.95) == pytest.approx(5e-3, rel=0.08)
-        assert h.percentile(100) == pytest.approx(5e-3, rel=0.08)
-
-    def test_under_and_overflow_clamped(self):
-        h = self.make()
-        h.record(1e-12)
-        h.record(100.0)
-        assert h.percentile(25) == h.min_latency
-        assert h.percentile(99) == h.max_latency
-
-    def test_empty_is_nan(self):
-        h = self.make()
-        assert math.isnan(h.mean)
-        assert math.isnan(h.percentile(99))
-
-    def test_summary_matches_reservoir_shape(self):
-        h = self.make()
-        h.record(1e-5)
-        assert set(h.summary()) == {"mean", "p99", "p999", "count"}
-
-    def test_reset(self):
-        h = self.make()
-        h.record(1e-5)
-        h.reset()
-        assert h.count == 0
-
-    def test_validation(self):
-        from repro.sim.stats import LatencyHistogram
-
-        with pytest.raises(ValueError):
-            LatencyHistogram(min_latency=1.0, max_latency=0.5)
-        with pytest.raises(ValueError):
-            LatencyHistogram(buckets_per_decade=0)
-        h = self.make()
-        h.record(1e-5)
-        with pytest.raises(ValueError):
-            h.percentile(150)

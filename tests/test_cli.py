@@ -198,3 +198,29 @@ def test_hunt_replay_invalid_file_exits_2(tmp_path, capsys):
 def test_fabric_rejects_zero_ops(capsys):
     assert main(["fabric", "--ops", "0"]) == 2
     assert "total_ops" in capsys.readouterr().err
+
+
+def test_fabric_digests_run_from_any_working_directory(
+    tmp_path, monkeypatch, capsys
+):
+    # The committed reference is found from the package location, not
+    # the working directory.
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "fabric.json"
+    assert main(["fabric", "--seed", "11", "--ops", "100", "--digests",
+                 "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "fabric digest seed 11: ok" in out
+    assert "fabric digest seed 23: ok" in out
+    assert report.exists()
+
+
+def test_missing_digest_reference_exits_2(tmp_path, monkeypatch, capsys):
+    from repro.cluster import determinism
+
+    monkeypatch.setattr(determinism, "REFERENCE_PATH",
+                        tmp_path / "determinism_hashes.json")
+    assert main(["fabric", "--seed", "11", "--ops", "100",
+                 "--digests"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not found" in err[0]
