@@ -92,6 +92,7 @@ class MixedVerbDriver:
         self.failed = 0
         self.finished_at: Optional[float] = None
         self.ops_by_verb = {"read": 0, "write": 0, "atomic": 0}
+        self._wc_handler = self._on_wc  # bound once, not per WR
 
     def start(self) -> None:
         """Prime the window; the completion loop keeps it full."""
@@ -117,14 +118,14 @@ class MixedVerbDriver:
             wr = WorkRequest(
                 opcode=op, size=self._draw(self.sizes),
                 remote_addr=layout.slot_addr(key), rkey=self.kv.data_rkey,
-                touch_memory=False, on_completion=self._on_wc,
+                touch_memory=False, on_completion=self._wc_handler,
             )
         elif op is OpType.WRITE:
             self.ops_by_verb["write"] += 1
             wr = WorkRequest(
                 opcode=op, size=self._draw(self.sizes),
                 remote_addr=layout.slot_addr(key), rkey=self.kv.data_rkey,
-                touch_memory=False, on_completion=self._on_wc,
+                touch_memory=False, on_completion=self._wc_handler,
             )
         else:  # FETCH_ADD / COMPARE_SWAP on the slot's first word
             self.ops_by_verb["atomic"] += 1
@@ -132,7 +133,7 @@ class MixedVerbDriver:
                 opcode=op, size=8,
                 remote_addr=layout.slot_addr(key), rkey=self.kv.data_rkey,
                 add_value=1, compare=0, swap=1,
-                on_completion=self._on_wc,
+                on_completion=self._wc_handler,
             )
         self.kv.qp.post_send(wr)
 

@@ -18,11 +18,18 @@ Usage::
 The committed baseline lives at
 ``benchmarks/results/perf_baseline.json``; a normalized score more than
 ``tolerance`` (default 25%) above the baseline fails the gate.
+
+Besides the timed score the gate prints two deterministic counts from
+one extra, untimed run of the cell: simulator events per completed GET
+and the cyclic-GC collections the cell triggers.  They are not gated;
+when the score moves, they show whether work per op or collector
+pressure moved with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import heapq
 import json
 import sys
@@ -59,20 +66,49 @@ def _calibration_round(events: int = _CALIBRATION_EVENTS) -> float:
     return time.process_time() - start
 
 
-def _workload_round() -> float:
-    """Seconds of process time for one gate-workload run.
+#: The gate cell: one point of the pinned Fig. 12 sweep (uniform
+#: reservations at 70%, K=500), run through the same scenario the
+#: parallel runner uses.
+_GATE_PARAMS = {"distribution": "uniform", "fraction": 0.7}
 
-    The workload is one cell of the pinned Fig. 12 sweep (uniform
-    reservations at 70%, K=500) — the configuration the tentpole
-    speedup was measured on, run through the same scenario the parallel
-    runner uses.
-    """
+
+def _workload_round() -> float:
+    """Seconds of process time for one gate-workload run."""
     from repro.cluster.runner import get_scenario
 
     scenario = get_scenario("fig12-point")
     start = time.process_time()
-    scenario({"distribution": "uniform", "fraction": 0.7}, 0)
+    scenario(_GATE_PARAMS, 0)
     return time.process_time() - start
+
+
+def count_round() -> dict:
+    """Deterministic work counts of one gate-cell run.
+
+    ``events_per_get`` is the simulator's event count (every scheduled
+    callback bumps ``Simulator._seq`` once) over the GETs the QoS
+    engines completed; ``gc_collections`` counts the collections of
+    each generation, starting from a fresh ``gc.collect()``.
+    """
+    from repro.cluster.runner import fig12_point_run
+
+    per_generation = [0, 0, 0]
+
+    def on_gc(phase: str, info: dict) -> None:
+        if phase == "start":
+            per_generation[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        cluster, _result, _reservations = fig12_point_run(_GATE_PARAMS, 0)
+    finally:
+        gc.callbacks.remove(on_gc)
+    gets = sum(client.engine.total_completed for client in cluster.clients)
+    return {
+        "events_per_get": round(cluster.sim._seq / gets, 4),
+        "gc_collections": per_generation,
+    }
 
 
 def measure(rounds: int = 5) -> dict:
@@ -116,6 +152,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"calibration: {current['calibration_seconds']:.3f}s  "
           f"workload: {current['workload_seconds']:.3f}s  "
           f"normalized: {current['normalized']:.3f}")
+    counts = count_round()
+    gen0, gen1, gen2 = counts["gc_collections"]
+    print(f"events/GET: {counts['events_per_get']:.3f}  "
+          f"gc collections: {gen0 + gen1 + gen2} "
+          f"(gen0/gen1/gen2 {gen0}/{gen1}/{gen2})")
 
     if args.write:
         with open(args.baseline, "w") as fh:

@@ -307,6 +307,21 @@ def _fig12_point(params: Mapping[str, Any], seed: int) -> dict:
     scale_factor / interval_divisor / warmup / periods (defaults match
     the committed benchmark).
     """
+    _cluster, result, reservations = fig12_point_run(params, seed)
+    return {
+        "total_kiops": result.total_kiops(),
+        "client_kiops": {
+            f"C{i+1}": result.client_kiops(f"C{i+1}")
+            for i in range(len(reservations))
+        },
+        "reservations": list(reservations),
+    }
+
+
+def fig12_point_run(params: Mapping[str, Any], seed: int):
+    """Build and run one ``fig12-point`` cell; returns ``(cluster,
+    result, reservations)`` so callers can read host-side counts off
+    the cluster."""
     from repro.cluster.experiment import run_experiment
     from repro.cluster.scale import SimScale
     from repro.cluster.scenarios import qos_cluster, reservation_set
@@ -330,14 +345,7 @@ def _fig12_point(params: Mapping[str, Any], seed: int) -> dict:
         warmup_periods=params.get("warmup", 2),
         measure_periods=params.get("periods", 6),
     )
-    return {
-        "total_kiops": result.total_kiops(),
-        "client_kiops": {
-            f"C{i+1}": result.client_kiops(f"C{i+1}")
-            for i in range(len(reservations))
-        },
-        "reservations": list(reservations),
-    }
+    return cluster, result, reservations
 
 
 def fig12_cells(

@@ -74,7 +74,18 @@ class QoSEngine:
         self.tracer = tracer
         self.tokens = ClientTokenState(reservation, config.period)
 
-        self._queue: Deque[Tuple[int, IOCallback]] = deque()
+        # The token queue, FIFO.  ``_keys`` holds queued keys; a None
+        # entry marks a request whose callback differs from the one
+        # queued before it, or that carries a span, and ``_heads`` holds
+        # that request's ``(callback, span)``.  A request with the same
+        # callback as its predecessor and no span is one int in a deque,
+        # owning no GC-tracked object.  ``_tail_cb`` is the callback of
+        # the newest queued request, ``_head_cb`` that of the next one
+        # the drain issues.
+        self._keys: Deque = deque()
+        self._heads: Deque[Tuple[IOCallback, object]] = deque()
+        self._tail_cb: Optional[IOCallback] = None
+        self._head_cb: Optional[IOCallback] = None
         self.period_id = 0
         self._period_end = 0.0
         self.completed_this_period = 0  # N_i
@@ -85,11 +96,12 @@ class QoSEngine:
         self._reporting_active = False
         self._throttled_this_period = False
         self._started = False
-        # Completion-closure cache for _issue: in practice every op of
-        # a client carries the same app callback, so the wrapper is
-        # built once and reused instead of allocated per op.
-        self._last_on_complete = None
-        self._last_finish = None
+        # Completion handlers, bound once.  Per-op data rides on the WR
+        # context (the app callback for a READ, the epoch for an FAA or
+        # probe), so no op allocates a closure.
+        self._read_done = self._on_read_complete
+        self._faa_done = self._on_faa_complete
+        self._probe_done = self._on_probe_complete
         # Chain mode: when the QP carries fabric-model state, drained
         # bursts are posted as doorbell-batched chains (post_chain) so
         # submit_burst's bulk advantage comes from the calibrated
@@ -266,18 +278,19 @@ class QoSEngine:
             # The span starts at submit so the engine's token-queueing
             # stage is part of the op's latency decomposition.
             span = telemetry.data_span("onesided_read", self.kv.name, key)
-        queue = self._queue
-        if queue:
-            # Fast path: a backlogged queue means the last drain ended
-            # throttled or token-starved (with the FAA machinery already
-            # armed if it could be), and no tokens can have arrived
-            # since — token grants come via simulator events, and every
-            # one of those handlers drains.  Draining again would be a
-            # no-op, so skip it; the new request queues behind the head.
-            queue.append((key, on_complete, span))
-            return
-        queue.append((key, on_complete, span))
-        self._drain()
+        # A backlogged queue means the last drain ended throttled or
+        # token-starved (with the FAA machinery already armed if it
+        # could be), and no tokens can have arrived since — token grants
+        # come via simulator events, and every one of those handlers
+        # drains.  Draining again would be a no-op, so only an idle
+        # queue drains; the new request queues behind the head.
+        keys = self._keys
+        idle = not keys
+        if span is not None or on_complete is not self._tail_cb:
+            self._push_head(on_complete, span)
+        keys.append(key)
+        if idle:
+            self._drain()
 
     def submit_burst(self, count: int, key_fn, on_complete: IOCallback) -> None:
         """Queue ``count`` reads (keys drawn from ``key_fn``), then drain.
@@ -293,23 +306,33 @@ class QoSEngine:
         if count <= 0:
             return
         self.total_submitted += count
-        queue = self._queue
+        keys = self._keys
         telemetry = self.sim.telemetry
         if telemetry is None:
+            if on_complete is not self._tail_cb:
+                self._push_head(on_complete, None)
             for _ in range(count):
-                queue.append((key_fn(), on_complete, None))
+                keys.append(key_fn())
         else:
             name = self.kv.name
             for _ in range(count):
                 key = key_fn()
                 span = telemetry.data_span("onesided_read", name, key)
-                queue.append((key, on_complete, span))
+                if span is not None or on_complete is not self._tail_cb:
+                    self._push_head(on_complete, span)
+                keys.append(key)
         self._drain()
+
+    def _push_head(self, on_complete: IOCallback, span) -> None:
+        """Mark the next queued key as carrying its own callback/span."""
+        self._tail_cb = on_complete
+        self._keys.append(None)
+        self._heads.append((on_complete, span))
 
     @property
     def queue_depth(self) -> int:
         """Requests waiting inside the engine for a token."""
-        return len(self._queue)
+        return len(self._keys) - len(self._heads)
 
     # ------------------------------------------------------------------
     # Control-plane message handlers
@@ -385,26 +408,44 @@ class QoSEngine:
     # Data access (Fig. 3 flowchart)
     # ------------------------------------------------------------------
     def _drain(self) -> None:
+        """Issue queued requests while tokens back them (Fig. 3).
+
+        In chain mode (the QP carries fabric-model state) the drained
+        WRs are posted as one doorbell-batched chain (``post_chain``),
+        so ``submit_burst``'s bulk advantage comes from the calibrated
+        amortized-doorbell cost model.  Token/limit/FAA decisions are
+        taken in the same order either way; only the posting differs.
+        """
         if self.suspended:
             return  # failover in progress: submissions queue here
-        if self._chain:
-            self._drain_chain()
-            return
-        # Locals for the loop: neither the queue/token objects nor the
-        # limit are replaced while draining (only at period boundaries),
-        # so hoisting the attribute reads is safe.
-        queue = self._queue
+        # Locals for the loop: neither the queue/token objects, the QP
+        # nor the limit are replaced while the loop posts (only at
+        # period boundaries and rebinds), so hoisting the reads is safe.
+        keys = self._keys
         tokens = self.tokens
         limit = self.limit
-        while queue:
+        qp = self.kv.qp
+        chain = [] if self._chain else None
+        while keys:
             if limit is not None and self.issued_this_period >= limit:
                 if not self._throttled_this_period:
                     self._throttled_this_period = True
                     self.limit_throttle_events += 1
-                return  # throttled until the next period
+                break  # throttled until the next period
             if tokens.try_consume():
-                key, on_complete, span = queue.popleft()
-                self._issue(key, on_complete, span)
+                key = keys.popleft()
+                span = None
+                if key is None:
+                    self._head_cb, span = self._heads.popleft()
+                    key = keys.popleft()
+                wr = self._read_wr(key, self._head_cb, span)
+                if chain is not None:
+                    chain.append(wr)
+                    continue
+                try:
+                    qp.post_send(wr)
+                except QPError as err:
+                    self._fail_unposted(wr, err)
                 continue
             # No token in hand: claim a batch from the global pool —
             # unless degraded, in which case only the reservation is
@@ -412,110 +453,56 @@ class QoSEngine:
             if (not self._faa_inflight and not self._retry_scheduled
                     and not self.degraded):
                 self._fetch_global_batch()
-            return
+            break
+        if chain:
+            try:
+                # Re-read: a failure listener run by the FAA post above
+                # may have rebound the engine to another KV client.
+                self.kv.qp.post_chain(chain)
+            except QPError as err:
+                for wr in chain:
+                    self._fail_unposted(wr, err)
 
-    def _issue(self, key: int, on_complete: IOCallback, span=None) -> None:
+    def _read_wr(self, key: int, on_complete: IOCallback, span):
+        """Per-op bookkeeping of one token-backed READ; returns its
+        unposted WR (completion: :meth:`_on_read_complete`)."""
         self.issued_this_period += 1
         self.inflight_tokened += 1
         if span is not None:
             # Token wait ends here: everything before this boundary was
             # spent queueing inside the engine.
             span.mark("engine_queue", self.sim.now)
-
-        if on_complete is self._last_on_complete:
-            finish = self._last_finish
-        else:
-            def finish(ok: bool, value: object, latency: float) -> None:
-                self.inflight_tokened -= 1
-                self.completed_this_period += 1
-                self.total_completed += 1
-                telemetry = self.sim.telemetry
-                if telemetry is not None:
-                    telemetry.observe_latency("onesided_read", latency)
-                self._notify_listener(ok)
-                on_complete(ok, value, latency)
-
-            self._last_on_complete = on_complete
-            self._last_finish = finish
-
-        try:
-            self.kv.get_onesided(key, finish, touch_memory=self.touch_memory,
-                                 span=span, sample=False)
-        except QPError as err:
-            if span is not None:
-                span.finish(self.sim.now, ok=False, error=str(err))
-            # Dead QP: fail the I/O through the normal completion path
-            # (as an event, matching the asynchronous non-fault path).
-            self.sim.schedule(0.0, finish, False, str(err), 0.0)
-
-    def _drain_chain(self) -> None:
-        """Chain-mode drain: collect every token-backed op, then post
-        them as one doorbell-batched chain (fabric model active).
-
-        Token/limit/FAA decisions are taken in exactly the order the
-        per-op drain takes them; only the posting is batched, so a
-        burst shares doorbells per ``FabricModel.doorbell_batch_limit``.
-        """
-        queue = self._queue
-        tokens = self.tokens
-        limit = self.limit
-        wrs = []
-        while queue:
-            if limit is not None and self.issued_this_period >= limit:
-                if not self._throttled_this_period:
-                    self._throttled_this_period = True
-                    self.limit_throttle_events += 1
-                break
-            if tokens.try_consume():
-                key, on_complete, span = queue.popleft()
-                wrs.append(self._chain_wr(key, on_complete, span))
-                continue
-            if (not self._faa_inflight and not self._retry_scheduled
-                    and not self.degraded):
-                self._fetch_global_batch()
-            break
-        if not wrs:
-            return
-        try:
-            self.kv.qp.post_chain(wrs)
-        except QPError as err:
-            # Dead QP: fail every collected op through its completion
-            # path (as events, matching the asynchronous non-fault path).
-            now = self.sim.now
-            for wr in wrs:
-                if wr.span is not None:
-                    wr.span.finish(now, ok=False, error=str(err))
-                wc = WorkCompletion(
-                    wr.wr_id, wr.opcode, WCStatus.FLUSH_ERROR,
-                    None, now, now, str(err),
-                )
-                self.sim.schedule(0.0, wr.on_completion, wc)
-
-    def _chain_wr(self, key: int, on_complete: IOCallback, span=None):
-        """Per-op bookkeeping of :meth:`_issue`, returning the unposted
-        WR instead of posting it (chain mode collects these)."""
-        self.issued_this_period += 1
-        self.inflight_tokened += 1
-        if span is not None:
-            span.mark("engine_queue", self.sim.now)
-        if on_complete is self._last_on_complete:
-            finish = self._last_finish
-        else:
-            def finish(ok: bool, value: object, latency: float) -> None:
-                self.inflight_tokened -= 1
-                self.completed_this_period += 1
-                self.total_completed += 1
-                telemetry = self.sim.telemetry
-                if telemetry is not None:
-                    telemetry.observe_latency("onesided_read", latency)
-                self._notify_listener(ok)
-                on_complete(ok, value, latency)
-
-            self._last_on_complete = on_complete
-            self._last_finish = finish
         return self.kv.get_onesided_wr(
-            key, finish, touch_memory=self.touch_memory, span=span
+            key, on_complete, self.touch_memory, span, self._read_done
         )
+
+    def _fail_unposted(self, wr: WorkRequest, err: QPError) -> None:
+        """Dead QP: fail the I/O through the normal completion path (as
+        an event, matching the asynchronous non-fault path)."""
+        now = self.sim.now
+        if wr.span is not None:
+            wr.span.finish(now, ok=False, error=str(err))
+        wc = WorkCompletion(
+            wr.wr_id, wr.opcode, WCStatus.FLUSH_ERROR, None, now, now,
+            str(err), wr.context, wr.remote_addr,
+        )
+        self.sim.schedule(0.0, self._read_done, wc)
+
+    def _on_read_complete(self, wc: WorkCompletion) -> None:
+        if self.touch_memory:
+            ok, value, latency = self.kv.read_result(wc)
+        else:
+            latency = wc.completed_at - wc.posted_at
+            ok = wc.status is WCStatus.SUCCESS
+            value = None if ok else wc.error
+        self.inflight_tokened -= 1
+        self.completed_this_period += 1
+        self.total_completed += 1
+        telemetry = self.sim.telemetry
+        if telemetry is not None:
+            telemetry.observe_latency("onesided_read", latency)
+        self._notify_listener(ok)
+        wc.context(ok, value, latency)
 
     def _notify_listener(self, ok: bool) -> None:
         listener = self.failure_listener
@@ -591,7 +578,8 @@ class QoSEngine:
             add_value=-batch,
             control=True,
             span=self._control_span("control_faa"),
-            on_completion=lambda wc: self._on_faa_complete(wc, epoch),
+            on_completion=self._faa_done,
+            context=epoch,
         )
         self._faa_inflight = True
         self.faa_issued += 1
@@ -606,8 +594,8 @@ class QoSEngine:
         self.sim.schedule(self.config.resolved_control_deadline,
                           self._control_deadline, epoch)
 
-    def _on_faa_complete(self, wc: WorkCompletion, epoch: int) -> None:
-        if not self._faa_inflight or epoch != self._faa_epoch:
+    def _on_faa_complete(self, wc: WorkCompletion) -> None:
+        if not self._faa_inflight or wc.context != self._faa_epoch:
             # Completed after its deadline already failed it.  Any
             # tokens the FAA did claim are abandoned; the monitor's
             # conversion overwrite re-absorbs them into the pool.
@@ -689,7 +677,8 @@ class QoSEngine:
             add_value=0,
             control=True,
             span=self._control_span("control_probe"),
-            on_completion=lambda wc: self._on_probe_complete(wc, epoch),
+            on_completion=self._probe_done,
+            context=epoch,
         )
         self._faa_inflight = True
         self.probes_issued += 1
@@ -706,8 +695,8 @@ class QoSEngine:
         self.sim.schedule(self.config.resolved_control_deadline,
                           self._control_deadline, epoch)
 
-    def _on_probe_complete(self, wc: WorkCompletion, epoch: int) -> None:
-        if not self._faa_inflight or epoch != self._faa_epoch:
+    def _on_probe_complete(self, wc: WorkCompletion) -> None:
+        if not self._faa_inflight or wc.context != self._faa_epoch:
             return
         self._faa_inflight = False
         if not wc.ok:
@@ -813,7 +802,7 @@ class QoSEngine:
         items.extend([
             ("engine_total_submitted", lambda: self.total_submitted),
             ("engine_total_completed", lambda: self.total_completed),
-            ("engine_queue_depth", lambda: len(self._queue)),
+            ("engine_queue_depth", lambda: self.queue_depth),
             ("engine_inflight_tokened", lambda: self.inflight_tokened),
             ("engine_faa_issued", lambda: self.faa_issued),
             ("engine_faa_granted_tokens", lambda: self.faa_granted_tokens),

@@ -62,6 +62,10 @@ class KVClient:
         dispatcher.register(protocol.PutResponse, self._on_put_response)
         dispatcher.register(protocol.ConnectResponse, self._on_connect_response)
         self._connect_callback: Optional[Callable] = None
+        # One-sided completion handlers, bound once: every GET/PUT WR
+        # points at one of these (see get_onesided_wr).
+        self._io_handler = self._finish_io
+        self._checked_read_handler = self._finish_read_checked
 
     # ------------------------------------------------------------------
     # Connection handshake
@@ -107,78 +111,32 @@ class KVClient:
         attached telemetry hub, so bare (QoS-less) callers are traced
         too.
         """
-        layout = self._require_layout()
+        wr = self.get_onesided_wr(key, on_complete, touch_memory, span)
         if span is None and sample:
             telemetry = self.sim.telemetry
             if telemetry is not None:
-                span = telemetry.data_span("onesided_read", self.name, key)
-        # Two closure variants so the timing-only configuration (every
-        # bulk benchmark) runs the minimal body; wc.ok/wc.latency are
-        # Python-level properties, so status and timestamps are read
-        # directly here.
-        if touch_memory:
-            def finish(wc: WorkCompletion) -> None:
-                latency = wc.completed_at - wc.posted_at
-                if wc.status is not WCStatus.SUCCESS:
-                    on_complete(False, wc.error, latency)
-                    return
-                slot_key, version, payload = decode_record(wc.value)
-                if slot_key not in (key, 0):  # 0 = unmaterialized store
-                    on_complete(False, f"bad slot key {slot_key}", latency)
-                    return
-                on_complete(True, (version, payload), latency)
-        else:
-            def finish(wc: WorkCompletion) -> None:
-                latency = wc.completed_at - wc.posted_at
-                if wc.status is WCStatus.SUCCESS:
-                    on_complete(True, None, latency)
-                else:
-                    on_complete(False, wc.error, latency)
-
-        # The completion callback rides on the WR (QueuePair routes it
-        # directly), skipping the CQ-router dict round-trip on the
-        # hottest per-op path in the simulator.
-        wr = WorkRequest(
-            opcode=OpType.READ,
-            size=layout.slot_size,
-            remote_addr=layout.slot_addr(key),
-            rkey=self.data_rkey,
-            touch_memory=touch_memory,
-            span=span,
-            on_completion=finish,
-        )
+                wr.span = telemetry.data_span("onesided_read", self.name, key)
         return self.qp.post_send(wr)
 
     def get_onesided_wr(
         self, key: int, on_complete: IOCallback, touch_memory: bool = True,
-        span=None,
+        span=None, on_completion: Optional[Callable] = None,
     ) -> WorkRequest:
         """Build (but do not post) the READ work request for ``key``.
 
-        The chain-mode engine path collects these and hands them to
-        ``QueuePair.post_chain`` so a burst shares doorbells; the WR is
-        byte-for-byte what :meth:`get_onesided` would have posted.
+        The WR carries ``on_complete`` as its ``context`` and this
+        client's completion handler (bound once, in ``__init__``) as its
+        ``on_completion``, so a GET allocates no per-op closure.  A
+        caller that wraps completions (the QoS engine) passes its own
+        ``on_completion`` handler; it receives the WorkCompletion,
+        ``on_complete`` included as ``wc.context``, and translates it
+        with :meth:`read_result`.  The chain-mode engine path hands
+        unposted WRs to ``QueuePair.post_chain``.
         """
         layout = self._require_layout()
-        if touch_memory:
-            def finish(wc: WorkCompletion) -> None:
-                latency = wc.completed_at - wc.posted_at
-                if wc.status is not WCStatus.SUCCESS:
-                    on_complete(False, wc.error, latency)
-                    return
-                slot_key, version, payload = decode_record(wc.value)
-                if slot_key not in (key, 0):  # 0 = unmaterialized store
-                    on_complete(False, f"bad slot key {slot_key}", latency)
-                    return
-                on_complete(True, (version, payload), latency)
-        else:
-            def finish(wc: WorkCompletion) -> None:
-                latency = wc.completed_at - wc.posted_at
-                if wc.status is WCStatus.SUCCESS:
-                    on_complete(True, None, latency)
-                else:
-                    on_complete(False, wc.error, latency)
-
+        if on_completion is None:
+            on_completion = (self._checked_read_handler if touch_memory
+                             else self._io_handler)
         return WorkRequest(
             opcode=OpType.READ,
             size=layout.slot_size,
@@ -186,8 +144,42 @@ class KVClient:
             rkey=self.data_rkey,
             touch_memory=touch_memory,
             span=span,
-            on_completion=finish,
+            on_completion=on_completion,
+            context=on_complete,
         )
+
+    def read_result(self, wc: WorkCompletion) -> tuple:
+        """``(ok, value, latency)`` of a touch-memory READ completion.
+
+        ``value`` is ``(version, payload)`` on success, else the error.
+        The slot image must hold the key the READ addressed (or 0, an
+        unmaterialized store); the key is recovered from the echoed
+        ``remote_addr`` through this client's layout.
+        """
+        latency = wc.completed_at - wc.posted_at
+        if wc.status is not WCStatus.SUCCESS:
+            return False, wc.error, latency
+        slot_key, version, payload = decode_record(wc.value)
+        layout = self.layout
+        key = (wc.remote_addr - layout.base_addr) // layout.slot_size
+        if slot_key not in (key, 0):  # 0 = unmaterialized store
+            return False, f"bad slot key {slot_key}", latency
+        return True, (version, payload), latency
+
+    # Per-client completion handlers; the caller's callback is the WR
+    # context.  _finish_io serves WRITEs and timing-only READs (every
+    # bulk benchmark); wc.ok/wc.latency are Python-level properties, so
+    # it reads status and timestamps directly.
+    def _finish_io(self, wc: WorkCompletion) -> None:
+        latency = wc.completed_at - wc.posted_at
+        if wc.status is WCStatus.SUCCESS:
+            wc.context(True, None, latency)
+        else:
+            wc.context(False, wc.error, latency)
+
+    def _finish_read_checked(self, wc: WorkCompletion) -> None:
+        ok, value, latency = self.read_result(wc)
+        wc.context(ok, value, latency)
 
     def put_onesided(
         self,
@@ -221,9 +213,8 @@ class KVClient:
             payload=data,
             touch_memory=touch_memory,
             span=span,
-            on_completion=lambda wc: on_complete(
-                wc.ok, wc.error if not wc.ok else None, wc.latency
-            ),
+            on_completion=self._io_handler,
+            context=on_complete,
         )
         return self.qp.post_send(wr)
 

@@ -69,6 +69,11 @@ class QueuePair:
         # synchronously — the backlog turns that chain into a loop.
         self._flushing = False
         self._flush_backlog: deque = deque()
+        # The two datapath stages, bound once: a heap entry holding a
+        # fresh bound method per push is one more GC-tracked object per
+        # in-flight op.
+        self._on_arrive = self._arrive
+        self._on_complete = self._complete
 
     def close(self) -> None:
         """Tear the QP down (client departure, error recovery).
@@ -146,7 +151,7 @@ class QueuePair:
         # ordering is pinned by the determinism guard).
         sim._seq += 1
         heappush(sim._heap, (wire_time + self.prop_delay + extra_delay,
-                             sim._seq, self._arrive, (wr, posted_at)))
+                             sim._seq, self._on_arrive, (wr, posted_at)))
         return wr.wr_id
 
     # ------------------------------------------------------------------
@@ -308,7 +313,7 @@ class QueuePair:
                 sim.schedule_at(cnp_at, cc.on_cnp, cnp_at)
         sim._seq += 1
         heappush(sim._heap, (deliver + self.prop_delay + extra_delay,
-                             sim._seq, self._arrive, (wr, posted_at)))
+                             sim._seq, self._on_arrive, (wr, posted_at)))
 
     # ------------------------------------------------------------------
     def _arrive(self, wr: WorkRequest, posted_at: float) -> None:
@@ -355,7 +360,7 @@ class QueuePair:
         sim = self.sim
         sim._seq += 1
         heappush(sim._heap, (done + self.prop_delay, sim._seq,
-                             self._complete, (wr, posted_at, value)))
+                             self._on_complete, (wr, posted_at, value)))
 
     def _arrive_send(self, wr: WorkRequest, posted_at: float) -> None:
         peer = self.reverse
@@ -378,7 +383,7 @@ class QueuePair:
         # the sender's ack comes back one propagation later.
         self.sim.schedule_at(done, self.dst.deliver, wr.payload, peer)
         self.sim.schedule_at(
-            done + self.prop_delay, self._complete, wr, posted_at, None
+            done + self.prop_delay, self._on_complete, wr, posted_at, None
         )
 
     def _complete(self, wr: WorkRequest, posted_at: float, value) -> None:
@@ -403,7 +408,8 @@ class QueuePair:
         # Positional construction: this allocation happens once per
         # simulated op, and keyword binding is measurable at that rate.
         wc = WorkCompletion(
-            wr.wr_id, wr.opcode, WCStatus.SUCCESS, value, posted_at, now
+            wr.wr_id, wr.opcode, WCStatus.SUCCESS, value, posted_at, now,
+            None, wr.context, wr.remote_addr,
         )
         # A WR-carried callback is invoked at exactly the point the CQ
         # handler would have been (cq.push calls its handler
@@ -436,6 +442,8 @@ class QueuePair:
             posted_at=posted_at,
             completed_at=self.sim.now,
             error=error,
+            context=wr.context,
+            remote_addr=wr.remote_addr,
         )
         cb = wr.on_completion
         if cb is not None:

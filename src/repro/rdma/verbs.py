@@ -49,6 +49,14 @@ class WorkRequest:
     SEND as an RPC response, which uses the cheaper hardware-offloaded
     responder path in the NIC cost model (see :class:`NICProfile`).
 
+    ``on_completion`` and ``context`` are the initiator's completion
+    routing.  ``on_completion(wc)`` receives the WorkCompletion directly
+    instead of the CQ; ``context`` is an opaque per-op value the QP
+    never reads and hands back as ``wc.context``, the way ibverbs
+    returns ``wr_id``.  Together they let one handler, bound once per
+    client, serve every op: the per-op data (the caller's callback, an
+    epoch) rides on the WR rather than in a closure allocated per op.
+
     A plain ``__slots__`` class rather than a dataclass: one of these
     is allocated per simulated I/O, and the slotted layout measurably
     cuts both allocation time and footprint on the hot path (a
@@ -57,14 +65,16 @@ class WorkRequest:
 
     __slots__ = ("opcode", "wr_id", "size", "remote_addr", "rkey",
                  "payload", "compare", "swap", "add_value", "is_response",
-                 "touch_memory", "control", "span", "on_completion")
+                 "touch_memory", "control", "span", "on_completion",
+                 "context")
 
     def __init__(self, opcode: OpType, wr_id: int = 0, size: int = 0,
                  remote_addr: int = 0, rkey: int = 0, payload: Any = None,
                  compare: int = 0, swap: int = 0, add_value: int = 0,
                  is_response: bool = False, touch_memory: bool = True,
                  control: bool = False, span: Any = None,
-                 on_completion: Optional[Callable] = None):
+                 on_completion: Optional[Callable] = None,
+                 context: Any = None):
         self.opcode = opcode
         self.wr_id = wr_id
         self.size = size
@@ -88,6 +98,8 @@ class WorkRequest:
         # the CQ (equivalent to a CQ handler that routes by wr_id, minus
         # the per-op dict round-trip; see QueuePair._complete).
         self.on_completion = on_completion
+        # Opaque initiator data, echoed on the WorkCompletion.
+        self.context = context
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorkRequest(opcode={self.opcode}, wr_id={self.wr_id}, "
@@ -95,14 +107,20 @@ class WorkRequest:
 
 
 class WorkCompletion:
-    """A completion entry delivered to a CQ."""
+    """A completion entry delivered to a CQ.
+
+    ``wr_id``, ``opcode``, ``remote_addr`` and ``context`` are echoed
+    from the WorkRequest, so a handler shared by many ops can tell which
+    one completed.
+    """
 
     __slots__ = ("wr_id", "opcode", "status", "value", "posted_at",
-                 "completed_at", "error")
+                 "completed_at", "error", "context", "remote_addr")
 
     def __init__(self, wr_id: int, opcode: OpType, status: WCStatus,
                  value: Any = None, posted_at: float = 0.0,
-                 completed_at: float = 0.0, error: Optional[str] = None):
+                 completed_at: float = 0.0, error: Optional[str] = None,
+                 context: Any = None, remote_addr: int = 0):
         self.wr_id = wr_id
         self.opcode = opcode
         self.status = status
@@ -110,6 +128,8 @@ class WorkCompletion:
         self.posted_at = posted_at
         self.completed_at = completed_at
         self.error = error
+        self.context = context
+        self.remote_addr = remote_addr
 
     @property
     def ok(self) -> bool:

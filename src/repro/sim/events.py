@@ -6,8 +6,10 @@ callback-only; an event is how :class:`~repro.sim.resources.Semaphore`
 passes a slot to a parked waiter (the fabric model's send-queue depth,
 :mod:`repro.rdma.cc`).
 
-Events deliberately carry very little state (``__slots__``) because the
-RDMA hot path allocates one per posted work request.
+Events deliberately carry very little state (``__slots__``): the
+fabric-model send queue allocates one per ``Semaphore.acquire``, that is
+per posted data WR when a FabricModel is attached.  The default RDMA
+datapath allocates none.
 """
 
 from __future__ import annotations

@@ -79,6 +79,12 @@ class _AppBase:
         self.in_flight = 0
         self.total_issued = 0
         self.total_completed = 0
+        # The completion callback handed to every submit, bound once:
+        # ``self._completed`` evaluates to a fresh bound method on each
+        # access, which the engine's token queue would record as a new
+        # callback run (and which would be one more tracked object per
+        # queued request).
+        self._completion_cb = self._completed
         sim.schedule_at(max(start_time, sim.now), self._boundary)
 
     def _boundary(self) -> None:
@@ -99,7 +105,7 @@ class _AppBase:
         self.issued_this_period += 1
         self.total_issued += 1
         self.in_flight += 1
-        self.submit(self.key_fn(), self._completed)
+        self.submit(self.key_fn(), self._completion_cb)
 
     def _completed(self, ok: bool, _value, latency: float) -> None:
         self.in_flight -= 1
@@ -156,7 +162,7 @@ class BurstApp(_AppBase):
                 self.issued_this_period += n
                 self.total_issued += n
                 self.in_flight += n
-                burst(n, self.key_fn, self._completed)
+                burst(n, self.key_fn, self._completion_cb)
             return
         issue_one = self._issue_one
         while (

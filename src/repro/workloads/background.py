@@ -53,6 +53,7 @@ class BackgroundJob:
         self.in_flight = 0
         self.total_completed = 0
         self._epoch = 0  # invalidates stale rate ticks across windows
+        self._completion_cb = self._completed  # bound once, not per I/O
         for start, end in schedule:
             sim.schedule_at(max(start, sim.now), self._activate)
             sim.schedule_at(max(end, sim.now), self._deactivate)
@@ -88,4 +89,4 @@ class BackgroundJob:
 
     def _issue(self) -> None:
         self.in_flight += 1
-        self.kv.get_onesided(self.key, self._completed, touch_memory=False)
+        self.kv.get_onesided(self.key, self._completion_cb, touch_memory=False)

@@ -140,6 +140,7 @@ class TraceReplayApp:
         self.completed = 0
         self.skipped_writes = 0
         self.in_flight = 0
+        self._completion_cb = self._completed  # bound once, not per I/O
         start = sim.now
         for entry in trace:
             sim.schedule_at(start + entry.time / time_scale,
@@ -158,7 +159,7 @@ class TraceReplayApp:
         self.issued += 1
         self.in_flight += 1
         submit = self.submit if entry.op == "read" else self.submit_write
-        submit(entry.key, self._completed)
+        submit(entry.key, self._completion_cb)
 
     def _completed(self, ok: bool, _value, latency: float) -> None:
         self.in_flight -= 1

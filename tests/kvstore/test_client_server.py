@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import StoreError
+from repro.kvstore.records import encode_record
 
 
 def run(mini, until=0.01):
@@ -59,6 +60,20 @@ class TestOneSidedPath:
         run(mini)
         _version, payload = out["val"]
         assert payload.startswith(b"fresh")
+
+    def test_get_rejects_slot_holding_another_key(self, mini):
+        # A record image for key 12 written into key 3's slot: the READ
+        # of key 3 must fail its slot check, not return key 12's data.
+        store = mini.node.store
+        store.memory.backing.write(
+            store.layout.slot_addr(3), encode_record(12, 1, b"stray")
+        )
+        out = {}
+        mini.clients[0].get_onesided(
+            3, lambda ok, val, lat: out.update(ok=ok, val=val)
+        )
+        run(mini)
+        assert out == {"ok": False, "val": "bad slot key 12"}
 
     def test_put_requires_payload_when_touching(self, mini):
         with pytest.raises(StoreError):
